@@ -15,14 +15,11 @@ from .construction import (
     EdgeCapError,
     Hypergraph,
     build_full,
-    build_subset_hypergraph,
     dedup,
     edge_from,
-    edge_vertices,
-    format_edge_list,
+    edge_line,
     iter_edges,
     iter_subset_edges,
-    shifted_vertex,
     write_edge_list,
 )
 from .counting import (
@@ -55,6 +52,7 @@ from .satbridge import (
     emit_dimacs,
     hypergraph_to_cnf,
     parse_dimacs,
+    write_dual_dimacs,
 )
 from .witness import (
     BLUE,
@@ -75,7 +73,6 @@ from .witness import (
     parse_coloring,
     random_coloring,
     select_same_majority,
-    swap_colors,
 )
 
 __version__ = "0.1.0"

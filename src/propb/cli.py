@@ -5,10 +5,11 @@ analytic bound), bound (sweep over the valid l values of a k), witness
 (monochromatic edge for a coloring), solve (DPLL on the dual CNF), and
 verify-small (exhaustive non-2-colorability check).
 
-Exit codes: 0 success, 2 usage or parameter error, 3 size refusal (edge cap
-or exhaustive-search limit), 4 verification failure, which would mean a bug
-in the construction.  The default edge cap can be overridden with --edge-cap
-or the PROPB_EDGE_CAP environment variable.
+Exit codes: 0 success, also when the reader of stdout closes the pipe
+early; 2 usage or parameter error, including a negative edge cap; 3 size
+refusal (edge cap or exhaustive-search limit); 4 verification failure, which
+would mean a bug in the construction.  The default edge cap can be
+overridden with --edge-cap or the PROPB_EDGE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .construction import (
     EdgeCapError,
     build_full,
     dedup,
+    edge_line,
     iter_edges,
     write_edge_list,
 )
 from .params import ParameterError, Params, validate_params
-from .satbridge import dpll_satisfiable, emit_dimacs, hypergraph_to_cnf
+from .satbridge import dpll_satisfiable, hypergraph_to_cnf, write_dual_dimacs
 from .witness import (
     ColoringError,
     find_proper_coloring,
@@ -73,13 +75,8 @@ def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     else:
         edges = iter_edges(params)
         count = total
-    if args.format == "edges":
-        write_edge_list(out, params, edges, count)
-    else:
-        out.write(f"p cnf {params.num_vertices} {2 * count}\n")
-        for edge in edges:
-            out.write(" ".join([str(v + 1) for v in edge] + ["0"]) + "\n")
-            out.write(" ".join([str(-(v + 1)) for v in edge] + ["0"]) + "\n")
+    writer = write_edge_list if args.format == "edges" else write_dual_dimacs
+    writer(out, params, edges, count)
     return EXIT_OK
 
 
@@ -131,7 +128,7 @@ def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
     out.write(f"sequences = {' '.join(str(s) for s in witness.chosen_seqs)}\n")
     out.write(f"shifts = {' '.join(str(s) for s in witness.shifts)}\n")
     out.write(f"positions = {' '.join(str(r) for r in witness.positions)}\n")
-    out.write(f"edge = {' '.join(str(v + 1) for v in witness.edge)}\n")
+    out.write(f"edge = {edge_line(witness.edge)}\n")
     out.write("verified: monochromatic and present in the construction\n")
     return EXIT_OK
 
@@ -235,9 +232,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "edge_cap", None) is None and hasattr(args, "edge_cap"):
-            args.edge_cap = _default_edge_cap()
+        if hasattr(args, "edge_cap"):
+            if args.edge_cap is None:
+                args.edge_cap = _default_edge_cap()
+            if args.edge_cap < 0:
+                raise ParameterError(f"the edge cap must be non-negative, got {args.edge_cap}")
         return args.func(args, sys.stdout)
+    except BrokenPipeError:
+        # The reader left early (`propb gen | head`); send the rest of the
+        # buffered output, including the flush at exit, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ParameterError, ColoringError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
 from . import counting
-from .params import Params, VertexId
+from .params import Params
 
 Edge = tuple[int, ...]
 
@@ -62,17 +62,6 @@ class Hypergraph:
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
-
-
-def shifted_vertex(params: Params, seq: int, r: int, shift: int) -> VertexId:
-    """Vertex at position r of sequence seq after a cyclic shift, 0-based."""
-    if not (0 <= seq < params.num_sequences):
-        raise IndexError(f"sequence index {seq} out of range 0..{params.num_sequences - 1}")
-    if not (0 <= r < params.seq_len):
-        raise IndexError(f"position {r} out of range 0..{params.seq_len - 1}")
-    if not (0 <= shift < params.seq_len):
-        raise IndexError(f"shift {shift} out of range 0..{params.seq_len - 1}")
-    return VertexId(seq, (r + shift) % params.seq_len)
 
 
 def _check_chosen_seqs(params: Params, chosen_seqs: Sequence[int]) -> tuple[int, ...]:
@@ -120,16 +109,19 @@ def edge_from(
 
 
 def iter_subset_edges(params: Params, chosen_seqs: Sequence[int]) -> Iterator[Edge]:
-    """Edges of the per-subset hypergraph, lexicographic: shift tuple major, block minor."""
-    chosen = _check_chosen_seqs(params, chosen_seqs)
+    """Edges of the per-subset hypergraph, lexicographic: shift tuple major, block minor.
+
+    Shifts apply to the chosen sequences in ascending order, so a reordered
+    chosen_seqs yields the same edges.
+    """
+    chosen = sorted(_check_chosen_seqs(params, chosen_seqs))
     kp = params.seq_len
     combos = list(itertools.combinations(range(kp), params.block_size))
 
     # Per sequence and shift, the sorted vertex tuple of every block,
-    # precomputed once; an edge is then just a concatenation.  When the
-    # chosen sequences are ascending, their vertex ranges are ascending and
-    # disjoint, so the concatenation is already canonically sorted.
-    ascending = all(a < b for a, b in zip(chosen, chosen[1:]))
+    # precomputed once; an edge is then just a concatenation.  The sorted
+    # sequences have ascending, disjoint vertex ranges, so the concatenation
+    # is already canonically sorted.
     pre = []
     for seq in chosen:
         base = seq * kp
@@ -139,32 +131,13 @@ def iter_subset_edges(params: Params, chosen_seqs: Sequence[int]) -> Iterator[Ed
             per_shift.append([tuple(sorted(row[r] for r in block)) for block in combos])
         pre.append(per_shift)
 
-    n_combos = len(combos)
-    if params.l == 1:
-        for shift in range(kp):
-            yield from pre[0][shift]
-        return
-    for shifts in itertools.product(range(kp), repeat=params.l):
-        parts = [pre[j][shifts[j]] for j in range(params.l)]
-        first = parts[0]
-        rest = parts[1:]
-        if ascending:
-            for ci in range(n_combos):
-                edge = first[ci]
-                for part in rest:
-                    edge = edge + part[ci]
-                yield edge
-        else:
-            for ci in range(n_combos):
-                merged = list(first[ci])
-                for part in rest:
-                    merged.extend(part[ci])
-                yield tuple(sorted(merged))
-
-
-def build_subset_hypergraph(params: Params, chosen_seqs: Sequence[int]) -> Hypergraph:
-    """Materialized per-subset hypergraph: seq_len^l * C(seq_len, block_size) edges."""
-    return Hypergraph(params, tuple(iter_subset_edges(params, chosen_seqs)))
+    *heads, last = pre
+    for head_parts in itertools.product(*heads):
+        prefix = [()] * len(combos)
+        for part in head_parts:
+            prefix = list(map(tuple.__add__, prefix, part))
+        for part in last:
+            yield from map(tuple.__add__, prefix, part)
 
 
 def iter_edges(params: Params) -> Iterator[Edge]:
@@ -197,23 +170,17 @@ def dedup(hypergraph: Hypergraph) -> Hypergraph:
     return Hypergraph(hypergraph.params, tuple(sorted(set(hypergraph.edges))))
 
 
-def edge_vertices(params: Params, edge: Edge) -> tuple[VertexId, ...]:
-    """Decode an edge into (seq, pos) pairs."""
-    return tuple(VertexId(v // params.seq_len, v % params.seq_len) for v in edge)
-
-
 def edge_list_header(params: Params, num_edges: int) -> str:
     return f"p hyp {params.num_vertices} {num_edges} {params.k}"
+
+
+def edge_line(edge: Edge) -> str:
+    """An edge as text: space-separated ascending 1-based vertex numbers."""
+    return " ".join([str(v + 1) for v in edge])
 
 
 def write_edge_list(out: IO[str], params: Params, edges: Iterable[Edge], num_edges: int) -> None:
     """Stream the edge-list text format; `num_edges` must match the iterable."""
     out.write(edge_list_header(params, num_edges) + "\n")
     for edge in edges:
-        out.write(" ".join(str(v + 1) for v in edge) + "\n")
-
-
-def format_edge_list(hypergraph: Hypergraph) -> str:
-    lines = [edge_list_header(hypergraph.params, len(hypergraph.edges))]
-    lines.extend(" ".join(str(v + 1) for v in edge) for edge in hypergraph.edges)
-    return "\n".join(lines) + "\n"
+        out.write(edge_line(edge) + "\n")

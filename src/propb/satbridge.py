@@ -14,8 +14,10 @@ scale, and verifies any model before reporting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import IO, Iterable
 
-from .construction import Hypergraph
+from .construction import Edge, Hypergraph, edge_line
+from .params import Params
 from .witness import BLUE, Coloring
 
 Clause = tuple[int, ...]
@@ -236,6 +238,14 @@ def emit_dimacs(cnf: Cnf) -> str:
     for clause in cnf.clauses:
         lines.append(" ".join([str(lit) for lit in clause] + ["0"]))
     return "\n".join(lines) + "\n"
+
+
+def write_dual_dimacs(out: IO[str], params: Params, edges: Iterable[Edge], num_edges: int) -> None:
+    """Stream the dual CNF as DIMACS; equals emit_dimacs(hypergraph_to_cnf(...)) of the same edges."""
+    out.write(f"p cnf {params.num_vertices} {2 * num_edges}\n")
+    for edge in edges:
+        line = edge_line(edge)
+        out.write(f"{line} 0\n-{line.replace(' ', ' -')} 0\n")
 
 
 def parse_dimacs(text: str) -> Cnf:

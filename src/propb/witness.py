@@ -63,11 +63,6 @@ def random_coloring(params: Params, rng: random.Random) -> Coloring:
     return "".join(rng.choice(COLORS) for _ in range(params.num_vertices))
 
 
-def swap_colors(coloring: Coloring) -> Coloring:
-    table = str.maketrans(RED + BLUE, BLUE + RED)
-    return coloring.translate(table)
-
-
 @dataclass(frozen=True)
 class MajorityProfile:
     """Per-sequence color counts; a flag is set when the count reaches half."""

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from propb import cli
@@ -65,6 +70,10 @@ def test_gen_cap_refusal(capsys):
 def test_gen_cap_flag(capsys):
     code, _, err = run(capsys, "gen", "--k", "2", "--l", "1", "--edge-cap", "5")
     assert code == 3
+    code, out, err = run(capsys, "gen", "--k", "2", "--l", "1", "--edge-cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-negative" in err
 
 
 def test_edge_cap_environment_variable(capsys, monkeypatch):
@@ -75,6 +84,28 @@ def test_edge_cap_environment_variable(capsys, monkeypatch):
     code, _, err = run(capsys, "gen", "--k", "2", "--l", "1")
     assert code == 2
     assert "PROPB_EDGE_CAP" in err
+    monkeypatch.setenv("PROPB_EDGE_CAP", "-5")
+    code, out, err = run(capsys, "gen", "--k", "2", "--l", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-negative" in err
+
+
+def test_gen_into_a_pipe_closed_early_exits_cleanly():
+    # `propb gen | head -1`: the reader leaves after one line of a 1.5 MB stream
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "propb.cli", "gen", "--k", "6", "--l", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"p hyp 36 95040 6\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_count_output(capsys):

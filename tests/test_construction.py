@@ -1,3 +1,4 @@
+import io
 import itertools
 from collections import Counter
 
@@ -11,32 +12,15 @@ from propb.construction import (
     EdgeCapError,
     Hypergraph,
     build_full,
-    build_subset_hypergraph,
     dedup,
     edge_from,
+    edge_line,
     edge_list_header,
-    edge_vertices,
-    format_edge_list,
     iter_subset_edges,
-    shifted_vertex,
+    write_edge_list,
 )
 from propb.counting import edge_count
-from propb.params import VertexId, validate_params
-
-
-def test_shifted_vertex_examples():
-    p = validate_params(2, 1)  # seq_len 4
-    assert shifted_vertex(p, 0, 3, 2) == VertexId(0, 1)
-    assert shifted_vertex(p, 0, 0, 0) == VertexId(0, 0)
-    p = validate_params(4, 2)  # seq_len 8
-    assert shifted_vertex(p, 2, 7, 1) == VertexId(2, 0)
-
-
-def test_shifted_vertex_bounds():
-    p = validate_params(2, 1)
-    for bad in [(1, 0, 0), (0, 4, 0), (0, 0, 4), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]:
-        with pytest.raises(IndexError):
-            shifted_vertex(p, *bad)
+from propb.params import validate_params
 
 
 def test_edge_from_examples():
@@ -74,6 +58,7 @@ SUBSET_CASES = [
     (2, 1, (0,), 24, 6),
     (2, 2, (0, 1), 64, 16),
     (4, 2, (0, 1), 1792, None),
+    (3, 3, (0, 1, 2), 4096, 512),
 ]
 
 
@@ -116,6 +101,9 @@ def test_subset_edges_arbitrary_sequence_order():
     lex = Counter(iter_subset_edges(p, (0, 2)))
     rev = Counter(iter_subset_edges(p, (2, 0)))
     assert lex == rev
+    assert rev == Counter(naive_subset_edges(p, (2, 0)))
+    p = validate_params(3, 3)
+    assert Counter(iter_subset_edges(p, (2, 0, 1))) == Counter(naive_subset_edges(p, (2, 0, 1)))
 
 
 FULL_CASES = [(2, 1), (3, 1), (2, 2), (4, 2)]
@@ -186,28 +174,19 @@ def test_l1_degenerates_to_all_k_subsets(k):
     assert set(d.edges) == set(itertools.combinations(range(2 * k), k))
 
 
-def test_edge_vertices_decodes():
-    p = validate_params(4, 2)
-    edge = edge_from(p, [0, 1], [0, 0], {0, 4})
-    assert edge_vertices(p, edge) == (
-        VertexId(0, 0),
-        VertexId(0, 4),
-        VertexId(1, 0),
-        VertexId(1, 4),
-    )
-
-
 def test_edge_list_format():
     p = validate_params(2, 1)
     h = build_full(p)
-    text = format_edge_list(h)
+    out = io.StringIO()
+    write_edge_list(out, p, h.edges, len(h.edges))
+    text = out.getvalue()
     lines = text.splitlines()
     assert lines[0] == edge_list_header(p, 24) == "p hyp 4 24 2"
     assert len(lines) == 25
     assert lines[1] == "1 2"  # first edge, 1-based
     assert text.endswith("\n")
     for line, edge in zip(lines[1:], h.edges):
-        assert line == " ".join(str(v + 1) for v in edge)
+        assert line == edge_line(edge) == " ".join(str(v + 1) for v in edge)
 
 
 @settings(max_examples=30, deadline=None)
@@ -243,6 +222,6 @@ def test_edge_from_agrees_with_iterated_edges(pair, data):
 
 def test_build_subset_hypergraph_counts():
     p = validate_params(4, 2)
-    h = build_subset_hypergraph(p, (0, 2))
-    assert len(h.edges) == 1792
-    assert h.vertex_count == 24  # full universe even for one subset
+    edges = tuple(iter_subset_edges(p, (0, 2)))
+    assert len(edges) == 1792
+    assert Hypergraph(p, edges).vertex_count == 24  # full universe even for one subset

@@ -1,9 +1,10 @@
+import io
 import random
 
 import pytest
 
 from helpers import all_colorings, has_monochromatic_edge, truth_table_satisfiable
-from propb.construction import Hypergraph, build_full, dedup
+from propb.construction import Hypergraph, build_full, dedup, edge_line, write_edge_list
 from propb.params import validate_params
 from propb.satbridge import (
     BudgetExceededError,
@@ -16,6 +17,7 @@ from propb.satbridge import (
     emit_dimacs,
     hypergraph_to_cnf,
     parse_dimacs,
+    write_dual_dimacs,
 )
 from propb.witness import find_proper_coloring
 
@@ -140,6 +142,25 @@ def test_emit_dimacs_examples():
     assert emit_dimacs(Cnf(0, ())) == "p cnf 0 0\n"
     text = emit_dimacs(hypergraph_to_cnf(build_full(validate_params(2, 1))))
     assert text.startswith("p cnf 4 48\n")
+
+
+def _streamed(writer, h):
+    out = io.StringIO()
+    writer(out, h.params, iter(h.edges), len(h.edges))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("dedup_edges", [False, True])
+@pytest.mark.parametrize("pair", [(2, 1), (3, 1), (2, 2), (4, 2), (3, 3), None])
+def test_streaming_writers_share_the_edge_line(pair, dedup_edges):
+    # pair None: a hypergraph with no edges
+    h = Hypergraph(validate_params(2, 1), ()) if pair is None else build_full(validate_params(*pair))
+    if dedup_edges:
+        h = dedup(h)
+    assert _streamed(write_dual_dimacs, h) == emit_dimacs(hypergraph_to_cnf(h))
+    lines = _streamed(write_edge_list, h).splitlines()
+    assert len(lines) == len(h.edges) + 1
+    assert lines[1:] == [edge_line(edge) for edge in h.edges]
 
 
 def test_dimacs_round_trip():

@@ -22,7 +22,6 @@ from propb.witness import (
     parse_coloring,
     random_coloring,
     select_same_majority,
-    swap_colors,
 )
 
 
@@ -265,7 +264,7 @@ def test_color_swap_symmetry():
             continue
         strict_seen += 1
         w = monochromatic_witness(p, h, coloring)
-        w_swapped = monochromatic_witness(p, h, swap_colors(coloring))
+        w_swapped = monochromatic_witness(p, h, coloring.translate(str.maketrans("RB", "BR")))
         assert w_swapped.color != w.color
         assert w_swapped.chosen_seqs == w.chosen_seqs
         assert w_swapped.shifts == w.shifts
