@@ -16,8 +16,11 @@ from .construction import (
     Hypergraph,
     build_full,
     dedup,
+    distinct_hypergraph,
     edge_from,
     edge_line,
+    is_edge,
+    iter_distinct_edges,
     iter_edges,
     iter_subset_edges,
     write_edge_list,
@@ -27,6 +30,7 @@ from .counting import (
     best_l,
     binomial,
     binomial_upper_bound,
+    distinct_edge_count,
     divisors,
     edge_count,
     edge_count_upper_bound,
@@ -63,11 +67,10 @@ from .witness import (
     MajorityError,
     MajorityProfile,
     Witness,
-    aligned_positions,
     conditional_expectation,
     derandomized_shifts,
-    exhaustive_best_shifts,
     find_proper_coloring,
+    find_witness,
     majority_profile,
     monochromatic_witness,
     parse_coloring,

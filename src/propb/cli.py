@@ -5,11 +5,20 @@ analytic bound), bound (sweep over the valid l values of a k), witness
 (monochromatic edge for a coloring), solve (DPLL on the dual CNF), and
 verify-small (exhaustive non-2-colorability check).
 
+witness builds no hypergraph: it checks its edge arithmetically, so it takes
+no edge cap (nor does count, which uses the closed form).  It refuses
+instances whose shift search, l * seq_len^2 steps, exceeds
+WITNESS_MAX_SHIFT_STEPS.  gen --dedup, solve --dedup and verify-small build
+the distinct edges directly, in memory proportional to their number, never
+the multiset; the edge cap still applies to the multiset count.
+
 Exit codes: 0 success, also when the reader of stdout closes the pipe
-early; 2 usage or parameter error, including a negative edge cap; 3 size
-refusal (edge cap or exhaustive-search limit); 4 verification failure, which
-would mean a bug in the construction.  The default edge cap can be
-overridden with --edge-cap or the PROPB_EDGE_CAP environment variable.
+early; 2 usage or parameter error, including a negative edge cap and an
+unreadable coloring file; 3 size refusal (edge cap, exhaustive-search limit
+or witness shift-search limit); 4 verification failure, which would mean a
+bug in the construction.  The default edge cap of gen, solve and
+verify-small can be overridden with --edge-cap or the PROPB_EDGE_CAP
+environment variable.
 """
 
 from __future__ import annotations
@@ -18,14 +27,16 @@ import argparse
 import os
 import random
 import sys
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import counting
 from .construction import (
     DEFAULT_EDGE_CAP,
+    Edge,
     EdgeCapError,
     build_full,
-    dedup,
+    check_edge_cap,
+    distinct_hypergraph,
     edge_line,
     iter_edges,
     write_edge_list,
@@ -35,7 +46,7 @@ from .satbridge import dpll_satisfiable, hypergraph_to_cnf, write_dual_dimacs
 from .witness import (
     ColoringError,
     find_proper_coloring,
-    monochromatic_witness,
+    find_witness,
     parse_coloring,
     random_coloring,
 )
@@ -46,6 +57,10 @@ EXIT_SIZE = 3
 EXIT_VERIFY = 4
 
 VERIFY_SMALL_MAX_VERTICES = 26
+# witness scans every shift of each chosen sequence against every still
+# passing position: at most l * seq_len^2 steps, about 1.7 s at this limit
+# (k = 1581, l = 1) on a 2-vCPU x86-64 VM.
+WITNESS_MAX_SHIFT_STEPS = 10**7
 
 
 def _default_edge_cap() -> int:
@@ -65,16 +80,12 @@ def _resolve_params(args: argparse.Namespace) -> Params:
 
 def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    total = counting.edge_count(params)
-    if args.edge_cap is not None and total > args.edge_cap:
-        raise EdgeCapError(total, args.edge_cap)
     if args.dedup:
-        hypergraph = dedup(build_full(params, args.edge_cap))
-        edges: Sequence = hypergraph.edges
-        count = len(hypergraph.edges)
+        edges: Iterable[Edge] = distinct_hypergraph(params, args.edge_cap).edges
+        count = len(edges)
     else:
+        count = check_edge_cap(params, args.edge_cap)
         edges = iter_edges(params)
-        count = total
     writer = write_edge_list if args.format == "edges" else write_dual_dimacs
     writer(out, params, edges, count)
     return EXIT_OK
@@ -87,7 +98,7 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     verdict = "yes" if bound.certifies_at_most(count) else "NO"
     out.write(f"k = {params.k}, l = {params.l}, vertices = {params.num_vertices}\n")
     out.write(f"edge count = {count}\n")
-    out.write(f"upper bound = {float(bound):.4e}\n")
+    out.write(f"upper bound = {counting.scientific(bound.upper)}\n")
     out.write(f"count <= bound: {verdict}\n")
     return EXIT_OK if verdict == "yes" else EXIT_VERIFY
 
@@ -108,22 +119,32 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
     for l, seq_len, count, bound in rows:
         ok = bound.certifies_at_most(count)
         failures += 0 if ok else 1
-        out.write(f"{l:>4} {seq_len:>8} {count:>16} {float(bound):>13.4e} {'yes' if ok else 'NO':>3}\n")
+        out.write(f"{l:>4} {seq_len:>8} {count:>16} {counting.scientific(bound.upper):>13} {'yes' if ok else 'NO':>3}\n")
     out.write(f"best l = {best} (edge count {counting.edge_count(validate_params(k, best))})\n")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
 def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
+    steps = params.l * params.seq_len**2
+    if steps > WITNESS_MAX_SHIFT_STEPS:
+        out.write(
+            f"refusing: the shift search takes {steps} steps, above the witness limit "
+            f"of {WITNESS_MAX_SHIFT_STEPS}\n"
+        )
+        return EXIT_SIZE
     if args.coloring is not None:
-        with open(args.coloring, "r", encoding="ascii") as handle:
-            coloring = parse_coloring(params, handle.read())
+        try:
+            with open(args.coloring, "r", encoding="ascii") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"cannot read the coloring file: {exc}") from exc
+        coloring = parse_coloring(params, text)
     elif args.seed is not None:
         coloring = random_coloring(params, random.Random(args.seed))
     else:
         raise ParameterError("witness needs --coloring FILE or --seed N")
-    hypergraph = build_full(params, args.edge_cap)
-    witness = monochromatic_witness(params, hypergraph, coloring)
+    witness = find_witness(params, coloring)
     out.write(f"color = {witness.color}\n")
     out.write(f"sequences = {' '.join(str(s) for s in witness.chosen_seqs)}\n")
     out.write(f"shifts = {' '.join(str(s) for s in witness.shifts)}\n")
@@ -135,9 +156,10 @@ def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    hypergraph = build_full(params, args.edge_cap)
     if args.dedup:
-        hypergraph = dedup(hypergraph)
+        hypergraph = distinct_hypergraph(params, args.edge_cap)
+    else:
+        hypergraph = build_full(params, args.edge_cap)
     cnf = hypergraph_to_cnf(hypergraph)
     result = dpll_satisfiable(cnf)
     stats = f"variables = {cnf.variable_count}, clauses = {len(cnf.clauses)}, decisions = {result.decisions}"
@@ -157,7 +179,7 @@ def cmd_verify_small(args: argparse.Namespace, out: IO[str]) -> int:
             f"of {VERIFY_SMALL_MAX_VERTICES}\n"
         )
         return EXIT_SIZE
-    hypergraph = dedup(build_full(params, args.edge_cap))
+    hypergraph = distinct_hypergraph(params, args.edge_cap)
     proper = find_proper_coloring(hypergraph, VERIFY_SMALL_MAX_VERTICES)
     checked = 2**params.num_vertices
     if proper is None:
@@ -177,22 +199,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_l: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, with_cap: bool = True) -> None:
         p.add_argument("--k", type=int, required=True, help="edge size")
-        if with_l:
-            p.add_argument(
-                "--l",
-                type=int,
-                default=None,
-                help="grouping parameter (divisor of k); default: minimize the edge count",
-            )
         p.add_argument(
-            "--edge-cap",
+            "--l",
             type=int,
             default=None,
-            help=f"refuse constructions above this many edges (default {DEFAULT_EDGE_CAP} "
-            "or PROPB_EDGE_CAP)",
+            help="grouping parameter (divisor of k); default: minimize the edge count",
         )
+        if with_cap:
+            p.add_argument(
+                "--edge-cap",
+                type=int,
+                default=None,
+                help=f"refuse constructions above this many edges (default {DEFAULT_EDGE_CAP} "
+                "or PROPB_EDGE_CAP)",
+            )
 
     p_gen = sub.add_parser("gen", help="emit the construction as an edge list or DIMACS CNF")
     add_common(p_gen)
@@ -201,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_count = sub.add_parser("count", help="exact edge count and the analytic upper bound")
-    add_common(p_count)
+    add_common(p_count, with_cap=False)
     p_count.set_defaults(func=cmd_count)
 
     p_bound = sub.add_parser("bound", help="sweep the valid l values for a given k")
@@ -209,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=cmd_bound)
 
     p_witness = sub.add_parser("witness", help="monochromatic edge for a 2-coloring")
-    add_common(p_witness)
+    add_common(p_witness, with_cap=False)
     p_witness.add_argument("--coloring", type=str, default=None, help="coloring file (one line of R/B)")
     p_witness.add_argument("--seed", type=int, default=None, help="generate a random coloring instead")
     p_witness.set_defaults(func=cmd_witness)
@@ -243,7 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # buffered output, including the flush at exit, to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ParameterError, ColoringError, FileNotFoundError) as exc:
+    except (ParameterError, ColoringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EdgeCapError as exc:

@@ -7,10 +7,17 @@ per-subset hypergraph enumerates all seq_len^l shift tuples and all
 C(seq_len, block_size) blocks; the full construction concatenates the
 per-subset hypergraphs over all C(2l-1, l) sequence subsets.
 
+Rotating every shift by -s_0 and the block by +s_0 gives the same edge, so
+the distinct edges are exactly the tuples with s_0 = 0 and every other shift
+taken modulo the period of the block: iter_distinct_edges streams them, one
+per edge, with no hashing.  Membership needs no hypergraph either: is_edge
+decides it from the vertex tuple alone.
+
 Edges are canonical sorted tuples of 0-based integer vertex encodings (see
 params.vertex_index).  Emission order is lexicographic over (sequence
 subset, shift tuple, block), so builds are byte-reproducible; build_full
-keeps duplicate edges (the counted multiset), dedup() removes them.
+keeps duplicate edges (the counted multiset), dedup() removes them, and
+distinct_hypergraph builds the distinct edges directly.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers.
@@ -146,15 +153,21 @@ def iter_edges(params: Params) -> Iterator[Edge]:
         yield from iter_subset_edges(params, chosen)
 
 
+def check_edge_cap(params: Params, edge_cap: int | None) -> int:
+    """edge_count(params), or EdgeCapError when it exceeds edge_cap (None: no cap)."""
+    expected = counting.edge_count(params)
+    if edge_cap is not None and expected > edge_cap:
+        raise EdgeCapError(expected, edge_cap)
+    return expected
+
+
 def build_full(params: Params, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Hypergraph:
     """The full edge multiset; its cardinality always equals edge_count(params).
 
     Refuses with EdgeCapError when that count exceeds edge_cap (pass None to
     disable the guard).
     """
-    expected = counting.edge_count(params)
-    if edge_cap is not None and expected > edge_cap:
-        raise EdgeCapError(expected, edge_cap)
+    expected = check_edge_cap(params, edge_cap)
     edges = tuple(iter_edges(params))
     if len(edges) != expected:
         raise AssertionError(f"built {len(edges)} edges, formula says {expected}")
@@ -168,6 +181,76 @@ def dedup(hypergraph: Hypergraph) -> Hypergraph:
     non-2-colorability carries over.
     """
     return Hypergraph(hypergraph.params, tuple(sorted(set(hypergraph.edges))))
+
+
+def _rotations(block: tuple[int, ...], kp: int) -> list[tuple[int, ...]]:
+    """The distinct sorted translates block + t, for t below the period of the block.
+
+    The rotations fixing a block form a subgroup of Z_kp, so its period, the
+    smallest one, divides kp.
+    """
+    members = set(block)
+    period = next(p for p in counting.divisors(kp) if {(r + p) % kp for r in block} == members)
+    return [tuple(sorted((r + shift) % kp for r in block)) for shift in range(period)]
+
+
+def iter_distinct_edges(params: Params) -> Iterator[Edge]:
+    """Every distinct edge of the construction exactly once, subset major, block minor.
+
+    An edge with shifts (s_0, ..., s_{l-1}) and block S equals the one with
+    shifts (0, s_1 - s_0, ...) and block S + s_0, and the shifts after the
+    first matter only modulo the period of the block.  So per block the first
+    chosen sequence takes shift 0 and every other one a shift below the
+    period.  Each edge is a sorted tuple; the stream itself is block major
+    and not sorted.
+    """
+    kp = params.seq_len
+    subsets = list(itertools.combinations(range(params.num_sequences), params.l))
+    for block in itertools.combinations(range(kp), params.block_size):
+        # With l = 1 no sequence follows the first, so no translate is used.
+        rotations = _rotations(block, kp) if params.l > 1 else []
+        for first, *rest in subsets:
+            edges = [tuple(first * kp + r for r in block)]
+            for seq in rest:
+                parts = [tuple(seq * kp + r for r in rot) for rot in rotations]
+                edges = [edge + part for edge in edges for part in parts]
+            yield from edges
+
+
+def distinct_hypergraph(params: Params, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Hypergraph:
+    """The distinct edges in canonical sorted order: dedup(build_full(params)), built directly.
+
+    Holds only the distinct edges, about 1/seq_len of the multiset, but
+    refuses under the same multiset cap as build_full.  Its cardinality always
+    equals distinct_edge_count(params).
+    """
+    check_edge_cap(params, edge_cap)
+    edges = tuple(sorted(iter_distinct_edges(params)))
+    expected = counting.distinct_edge_count(params)
+    if len(edges) != expected:
+        raise AssertionError(f"built {len(edges)} distinct edges, formula says {expected}")
+    return Hypergraph(params, edges)
+
+
+def is_edge(params: Params, edge: Sequence[int]) -> bool:
+    """Whether `edge` belongs to the construction, decided arithmetically in O(k*seq_len).
+
+    It does exactly when it is a strictly ascending tuple of k vertices that
+    spans l sequences with block_size vertices in each, and every per-sequence
+    position set is a cyclic translate of the first one.
+    """
+    kp = params.seq_len
+    if len(edge) != params.k or list(edge) != sorted(set(edge)):
+        return False
+    if edge[0] < 0 or edge[-1] >= params.num_vertices:
+        return False
+    parts: dict[int, set[int]] = {}
+    for v in edge:
+        parts.setdefault(v // kp, set()).add(v % kp)
+    if len(parts) != params.l or any(len(part) != params.block_size for part in parts.values()):
+        return False
+    first, *rest = parts.values()
+    return all(any({(r + t) % kp for r in first} == part for t in range(kp)) for part in rest)
 
 
 def edge_list_header(params: Params, num_edges: int) -> str:

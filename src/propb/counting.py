@@ -45,6 +45,27 @@ class BoundValue:
         return quantity <= self.lower
 
 
+def scientific(value: Fraction) -> str:
+    """A positive `value` in `.4e` notation, as printed for a float.
+
+    The float path is kept for byte identity with earlier output: at a
+    decimal tie the float's rounding error decides, so 6523/40 prints
+    1.6307e+02 where exact rounding half to even gives 1.6308e+02.  Past the
+    float range (about 1.8e308) the digits come from exact integer
+    arithmetic, rounded half to even, instead of an OverflowError.
+    """
+    try:
+        return f"{float(value):.4e}"
+    except OverflowError:
+        pass
+    exponent = len(str(math.floor(value))) - 1
+    digits = round(value / Fraction(10) ** (exponent - 4))
+    if digits == 10**5:
+        digits, exponent = digits // 10, exponent + 1
+    text = str(digits)
+    return f"{text[0]}.{text[1:]}e{exponent:+03d}"
+
+
 def binomial(n: int, r: int) -> int:
     """Exact C(n, r); 0 when r > n."""
     if not isinstance(n, int) or not isinstance(r, int):
@@ -66,6 +87,23 @@ def edge_count(params: Params) -> int:
     Equals C(2l-1, l) * seq_len^l * C(seq_len, block_size).
     """
     return _edge_count(params.k, params.l)
+
+
+def distinct_edge_count(params: Params) -> int:
+    """Exact number of distinct edges: C(2l-1, l) * sum over blocks S of period(S)^(l-1).
+
+    A block fixed by the rotation +d, for d dividing seq_len, is a union of
+    residue classes mod d: there are C(d, block_size*d/seq_len) of them when
+    seq_len divides block_size*d, else none.  Moebius inversion over the
+    divisors turns these counts into the number of blocks of each exact period.
+    """
+    kp, block = params.seq_len, params.block_size
+    exact: dict[int, int] = {}
+    for d in divisors(kp):
+        fixed = binomial(d, block * d // kp) if block * d % kp == 0 else 0
+        exact[d] = fixed - sum(n for e, n in exact.items() if d % e == 0)
+    periods = sum(n * d ** (params.l - 1) for d, n in exact.items())
+    return binomial(params.num_sequences, params.l) * periods
 
 
 def binomial_upper_bound(n: int, r: int) -> BoundValue:

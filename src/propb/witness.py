@@ -8,8 +8,10 @@ monochromatic positions.  The expectation starts at >= seq_len / 2^l =
 block_size and never drops, so at the end at least block_size positions are
 monochromatic and the first block_size of them cut out a monochromatic edge.
 
-An exhaustive search over all seq_len^l shift tuples is provided as an
-independent check, as is a bitmask search for a proper 2-coloring.
+find_witness checks the edge against the construction arithmetically
+(is_edge), so it builds no hypergraph; monochromatic_witness also checks it
+against a materialized one.  A bitmask search for a proper 2-coloring is
+provided as an independent check of non-2-colorability.
 
 Coloring representation: a string of 'R'/'B' of length num_vertices,
 indexed by the integer vertex encoding.  The coloring file format is that
@@ -18,14 +20,13 @@ string on a single line.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .construction import Edge, Hypergraph, edge_from
+from .construction import Edge, Hypergraph, edge_from, is_edge
 from .params import Params
 
 RED = "R"
@@ -193,40 +194,6 @@ def derandomized_shifts(
     return tuple(shifts), tuple(passing[: params.block_size])
 
 
-def aligned_positions(
-    params: Params,
-    coloring: Coloring,
-    color: str,
-    chosen_seqs: Sequence[int],
-    shifts: Sequence[int],
-) -> tuple[int, ...]:
-    """All positions whose shifted vertices are `color` in every chosen sequence."""
-    kp = params.seq_len
-    pairs = list(zip(chosen_seqs, shifts))
-    return tuple(
-        r
-        for r in range(kp)
-        if all(coloring[seq * kp + (r + shift) % kp] == color for seq, shift in pairs)
-    )
-
-
-def exhaustive_best_shifts(
-    params: Params,
-    coloring: Coloring,
-    color: str,
-    chosen_seqs: Sequence[int],
-) -> tuple[tuple[int, ...], int]:
-    """Brute force over all seq_len^l shift tuples: (first argmax, max count)."""
-    check_coloring(params, coloring)
-    best_shifts: tuple[int, ...] = ()
-    best = -1
-    for shifts in itertools.product(range(params.seq_len), repeat=len(tuple(chosen_seqs))):
-        n = len(aligned_positions(params, coloring, color, chosen_seqs, shifts))
-        if n > best:
-            best_shifts, best = shifts, n
-    return best_shifts, best
-
-
 @dataclass(frozen=True)
 class Witness:
     """A verified monochromatic edge together with how it was found."""
@@ -238,11 +205,11 @@ class Witness:
     edge: Edge
 
 
-def monochromatic_witness(params: Params, hypergraph: Hypergraph, coloring: Coloring) -> Witness:
+def find_witness(params: Params, coloring: Coloring) -> Witness:
     """A monochromatic edge of the full construction under any total coloring.
 
-    Verifies, before returning, that the edge is monochromatic and actually
-    belongs to `hypergraph`; a failure there is an implementation bug, not a
+    Verifies, before returning, that the edge is monochromatic and that
+    is_edge accepts it; a failure there is an implementation bug, not a
     property of the coloring.
     """
     profile = majority_profile(params, coloring)
@@ -251,9 +218,17 @@ def monochromatic_witness(params: Params, hypergraph: Hypergraph, coloring: Colo
     edge = edge_from(params, chosen, shifts, block)
     if any(coloring[v] != color for v in edge):
         raise AssertionError(f"witness edge {edge} is not monochromatic in {color}")
-    if edge not in hypergraph.edge_set:
-        raise AssertionError(f"witness edge {edge} missing from the hypergraph")
+    if not is_edge(params, edge):
+        raise AssertionError(f"witness edge {edge} is not an edge of the construction")
     return Witness(color=color, chosen_seqs=chosen, shifts=shifts, positions=block, edge=edge)
+
+
+def monochromatic_witness(params: Params, hypergraph: Hypergraph, coloring: Coloring) -> Witness:
+    """find_witness, cross-checked against the materialized `hypergraph`."""
+    witness = find_witness(params, coloring)
+    if witness.edge not in hypergraph.edge_set:
+        raise AssertionError(f"witness edge {witness.edge} missing from the hypergraph")
+    return witness
 
 
 def find_proper_coloring(hypergraph: Hypergraph, max_vertices: int = 26) -> Coloring | None:

@@ -11,6 +11,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from propb.params import Params
+from propb.witness import check_coloring
 
 
 def naive_subset_edges(params: Params, chosen_seqs: Sequence[int]) -> list[tuple[int, ...]]:
@@ -72,3 +73,37 @@ def max_aligned_by_enumeration(
                 n += 1
         best = max(best, n)
     return best
+
+
+def aligned_positions(
+    params: Params,
+    coloring: str,
+    color: str,
+    chosen_seqs: Sequence[int],
+    shifts: Sequence[int],
+) -> tuple[int, ...]:
+    """All positions whose shifted vertices are `color` in every chosen sequence."""
+    kp = params.seq_len
+    pairs = list(zip(chosen_seqs, shifts))
+    return tuple(
+        r
+        for r in range(kp)
+        if all(coloring[seq * kp + (r + shift) % kp] == color for seq, shift in pairs)
+    )
+
+
+def exhaustive_best_shifts(
+    params: Params,
+    coloring: str,
+    color: str,
+    chosen_seqs: Sequence[int],
+) -> tuple[tuple[int, ...], int]:
+    """Brute force over all seq_len^l shift tuples: (first argmax, max count)."""
+    check_coloring(params, coloring)
+    best_shifts: tuple[int, ...] = ()
+    best = -1
+    for shifts in itertools.product(range(params.seq_len), repeat=len(tuple(chosen_seqs))):
+        n = len(aligned_positions(params, coloring, color, chosen_seqs, shifts))
+        if n > best:
+            best_shifts, best = shifts, n
+    return best_shifts, best

@@ -10,7 +10,9 @@ import random
 import time
 
 from helpers import (
+    aligned_positions,
     all_colorings,
+    exhaustive_best_shifts,
     has_monochromatic_edge,
     max_aligned_by_enumeration,
     truth_table_satisfiable,
@@ -34,9 +36,7 @@ from propb.satbridge import (
     parse_dimacs,
 )
 from propb.witness import (
-    aligned_positions,
     derandomized_shifts,
-    exhaustive_best_shifts,
     find_proper_coloring,
     majority_profile,
     monochromatic_witness,

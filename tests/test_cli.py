@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from propb import cli
+from propb.params import validate_params
 from propb.satbridge import parse_dimacs
+from propb.witness import random_coloring
 
 
 def run(capsys, *argv):
@@ -125,6 +129,29 @@ def test_bound_sweep(capsys):
     assert all("yes" in line for line in lines[1:4])
 
 
+def test_bound_output_unchanged_where_floats_sufficed(capsys):
+    # SHA-256 of the concatenated `bound --k N` stdout for N = 1..28, as the
+    # float-formatting code printed it; from N = 29 on that code raised
+    # OverflowError, and every N up to 40 now succeeds.
+    digest = hashlib.sha256()
+    for n in range(1, 41):
+        code, out, err = run(capsys, "bound", "--k", str(n))
+        assert code == 0 and err == "", n
+        if n <= 28:
+            digest.update(out.encode())
+    assert digest.hexdigest() == "a7fc1e39e67d6b51a3cee76d36d59a6b1202dd8e1b54ed9ccc5b6c48e3af5ceb"
+
+
+def test_bounds_past_the_float_range(capsys):
+    code, out, _ = run(capsys, "bound", "--k", "30")
+    assert code == 0
+    assert "5.8564e+342 yes" in out.splitlines()[-2]  # the l = 30 row
+    code, out, _ = run(capsys, "count", "--k", "700", "--l", "1")
+    assert code == 0
+    assert "upper bound = 2.9876e+518\n" in out
+    assert out.endswith("count <= bound: yes\n")
+
+
 def test_witness_from_file(capsys, tmp_path):
     path = tmp_path / "coloring.txt"
     path.write_text("RRRRBBBBRRRR\n")
@@ -155,6 +182,53 @@ def test_witness_missing_file(capsys, tmp_path):
         capsys, "witness", "--k", "2", "--l", "1", "--coloring", str(tmp_path / "nope")
     )
     assert code == 2
+
+
+def test_witness_unreadable_coloring_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "accented.txt"
+    path.write_text("RRBÉ\n", encoding="utf-8")
+    for source in (path, tmp_path):  # non-ASCII bytes, then a directory
+        code, out, err = run(capsys, "witness", "--k", "2", "--l", "1", "--coloring", str(source))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_witness_builds_nothing_for_a_large_multiset(capsys):
+    # (10,2) has 18,604,800 edges with multiplicity, above the default edge cap
+    code, out, _ = run(capsys, "witness", "--k", "10", "--l", "2", "--seed", "1")
+    assert code == 0
+    fields = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    edge = [int(v) - 1 for v in fields["edge"].split()]
+    coloring = random_coloring(validate_params(10, 2), random.Random(1))
+    assert len(set(edge)) == 10
+    assert all(coloring[v] == fields["color"] for v in edge)
+    assert out.endswith("verified: monochromatic and present in the construction\n")
+
+
+def test_witness_refuses_a_long_shift_search(capsys, monkeypatch):
+    code, out, err = run(capsys, "witness", "--k", "40", "--l", "40", "--seed", "1")
+    assert code == 3
+    assert out.startswith("refusing:") and err == ""
+    # (8,2): l * seq_len^2 = 2 * 16^2 = 512 steps
+    monkeypatch.setattr(cli, "WITNESS_MAX_SHIFT_STEPS", 512)
+    code, _, _ = run(capsys, "witness", "--k", "8", "--l", "2", "--seed", "1")
+    assert code == 0
+    monkeypatch.setattr(cli, "WITNESS_MAX_SHIFT_STEPS", 511)
+    code, out, _ = run(capsys, "witness", "--k", "8", "--l", "2", "--seed", "1")
+    assert code == 3
+    assert "512 steps" in out
+
+
+def test_witness_and_count_take_no_edge_cap(capsys, monkeypatch):
+    monkeypatch.setenv("PROPB_EDGE_CAP", "not-a-number")
+    assert run(capsys, "witness", "--k", "2", "--l", "1", "--seed", "1")[0] == 0
+    assert run(capsys, "count", "--k", "4", "--l", "2")[0] == 0
+    monkeypatch.delenv("PROPB_EDGE_CAP")
+    for argv in (("witness", "--k", "2", "--l", "1", "--seed", "1"), ("count", "--k", "4", "--l", "2")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--edge-cap", "5"])
+        assert exc.value.code == 2
 
 
 def test_witness_bad_coloring_length(capsys, tmp_path):

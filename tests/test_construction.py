@@ -1,5 +1,6 @@
 import io
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -13,13 +14,17 @@ from propb.construction import (
     Hypergraph,
     build_full,
     dedup,
+    distinct_hypergraph,
     edge_from,
     edge_line,
     edge_list_header,
+    is_edge,
+    iter_distinct_edges,
+    iter_edges,
     iter_subset_edges,
     write_edge_list,
 )
-from propb.counting import edge_count
+from propb.counting import distinct_edge_count, edge_count
 from propb.params import validate_params
 
 
@@ -132,6 +137,11 @@ def test_build_full_cap():
     assert info.value.expected == 24 * 2_704_156
     with pytest.raises(EdgeCapError):
         build_full(validate_params(4, 2), edge_cap=100)
+    # the distinct build answers to the same multiset cap: (4,2) has 624
+    # distinct edges but 5376 with multiplicity
+    with pytest.raises(EdgeCapError):
+        distinct_hypergraph(validate_params(4, 2), edge_cap=1000)
+    assert len(distinct_hypergraph(validate_params(4, 2), edge_cap=5376).edges) == 624
 
 
 def test_dedup_small_cases():
@@ -152,6 +162,60 @@ def test_dedup_small_cases():
     }
     assert set(d.edges) == tripartite
     assert len(d.edges) == 48
+
+
+@pytest.mark.parametrize("k,l", [(2, 1), (3, 1), (2, 2), (4, 2), (6, 2), (3, 3), (6, 3)])
+def test_distinct_edges_are_the_deduplicated_multiset(k, l):
+    p = validate_params(k, l)
+    expected = dedup(build_full(p, None)).edges
+    assert tuple(sorted(iter_distinct_edges(p))) == expected
+    assert len(expected) == distinct_edge_count(p)
+    assert distinct_hypergraph(p).edges == expected
+
+
+@pytest.mark.parametrize("k,l", [(2, 1), (3, 1), (2, 2), (4, 2), (3, 3)])
+def test_is_edge_accepts_every_edge(k, l):
+    p = validate_params(k, l)
+    assert all(is_edge(p, edge) for edge in set(iter_edges(p)))
+
+
+def test_is_edge_rejects_non_edges():
+    p = validate_params(4, 2)  # seq_len 8, block 2
+    assert is_edge(p, (0, 4, 8, 12))
+    assert is_edge(p, (0, 1, 8, 15))  # {7, 0} is {0, 1} rotated by 7
+    assert not is_edge(p, (0, 5, 8, 12))  # one vertex moved within sequence 0
+    assert not is_edge(p, (0, 1, 8, 11))  # {0, 3} is no translate of {0, 1}
+    assert not is_edge(p, (0, 4, 8, 16))  # three sequences
+    assert not is_edge(p, (0, 1, 2, 3))  # one sequence
+    assert not is_edge(p, (0, 1, 2, 8))  # 3 + 1 vertices per sequence
+    assert not is_edge(p, (4, 0, 8, 12))  # not ascending
+    assert not is_edge(p, (0, 4, 8))  # too short
+    assert not is_edge(p, (0, 4, 8, 12, 16))  # too long
+    assert not is_edge(p, (0, 0, 4, 8))  # repeated vertex
+    assert not is_edge(p, (0, 4, 16, 24))  # vertex 24 is outside the universe
+    assert not is_edge(p, (-8, -4, 0, 4))
+
+
+# For l = 1 every k-subset of the single sequence is an edge, so only l >= 2
+# has well-formed non-edges.
+@pytest.mark.parametrize("k,l", [(2, 2), (4, 2), (6, 2), (3, 3)])
+def test_is_edge_agrees_with_membership_on_random_tuples(k, l):
+    p = validate_params(k, l)
+    edges = set(iter_edges(p))
+    rng = random.Random(50 * k + l)
+    kp = p.seq_len
+    samples = [tuple(sorted(rng.sample(range(p.num_vertices), k))) for _ in range(300)]
+    for edge in rng.sample(sorted(edges), min(len(edges), 300)):
+        # one vertex moved within its sequence, and one moved to another sequence
+        v = rng.choice(edge)
+        within = v - v % kp + (v + rng.randrange(1, kp)) % kp
+        across = (v + kp * rng.randrange(1, p.num_sequences)) % p.num_vertices
+        for moved in (within, across):
+            if moved not in edge:
+                samples.append(tuple(sorted(set(edge) - {v} | {moved})))
+    assert any(x in edges for x in samples) and any(x not in edges for x in samples)
+    for x in samples:
+        assert is_edge(p, x) == (x in edges), x
 
 
 def test_dedup_idempotent_and_sorted():

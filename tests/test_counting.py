@@ -1,4 +1,7 @@
+import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,9 +13,11 @@ from propb.counting import (
     best_l,
     binomial,
     binomial_upper_bound,
+    distinct_edge_count,
     divisors,
     edge_count,
     edge_count_upper_bound,
+    scientific,
 )
 from propb.params import ParameterError, validate_params
 
@@ -60,6 +65,58 @@ EDGE_COUNTS = {
 def test_edge_count_frozen_values(pair, expected):
     k, l = pair
     assert edge_count(validate_params(k, l)) == expected
+
+
+@pytest.mark.parametrize(
+    "pair,expected",
+    [
+        ((2, 1), 6),
+        ((3, 1), 20),
+        ((2, 2), 48),
+        ((4, 2), 624),
+        ((6, 2), 7824),
+        ((3, 3), 5120),
+        ((6, 3), 291_840),
+        ((8, 2), 86_640),
+    ],
+)
+def test_distinct_edge_count_frozen_values(pair, expected):
+    assert distinct_edge_count(validate_params(*pair)) == expected
+
+
+def test_distinct_edge_count_matches_the_period_sum():
+    # C(2l-1, l) * sum over blocks S of period(S)^(l-1), with each period
+    # found by trying every rotation.
+    for k in range(1, 9):
+        for l in divisors(k):
+            p = validate_params(k, l)
+            n = p.seq_len
+            total = 0
+            for block in itertools.combinations(range(n), p.block_size):
+                period = next(t for t in range(1, n + 1) if {(r + t) % n for r in block} == set(block))
+                total += period ** (l - 1)
+            assert distinct_edge_count(p) == binomial(2 * l - 1, l) * total, (k, l)
+
+
+def test_scientific_matches_float_formatting_and_goes_past_it():
+    for value in [Fraction(1), Fraction(6523, 40), Fraction(10**300, 7), Fraction(484_124)]:
+        assert scientific(value) == f"{float(value):.4e}"
+    # Past the float range, against decimal arithmetic rounding half to even.
+    huge = [
+        Fraction(10**400),
+        Fraction(2**1100, 3),
+        Fraction(999_995 * 10**400),
+        Fraction(999_985 * 10**400),
+        Fraction(3**2000, 7**5),
+    ]
+    for value in huge:
+        with pytest.raises(OverflowError):
+            float(value)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            expected = format(Decimal(value.numerator) / Decimal(value.denominator), ".4e")
+        assert scientific(value) == expected
+    assert scientific(Fraction(999_995 * 10**400)) == "1.0000e+406"
 
 
 def test_e_enclosure_is_tight_and_correct():

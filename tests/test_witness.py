@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_colorings, has_monochromatic_edge, max_aligned_by_enumeration
+from helpers import (
+    aligned_positions,
+    all_colorings,
+    exhaustive_best_shifts,
+    has_monochromatic_edge,
+    max_aligned_by_enumeration,
+)
 from propb.construction import build_full, dedup, Hypergraph
 from propb.params import validate_params
 from propb.witness import (
@@ -12,10 +18,8 @@ from propb.witness import (
     ColoringError,
     MajorityError,
     MajorityProfile,
-    aligned_positions,
     conditional_expectation,
     derandomized_shifts,
-    exhaustive_best_shifts,
     find_proper_coloring,
     majority_profile,
     monochromatic_witness,
