@@ -8,17 +8,21 @@ verify-small (exhaustive non-2-colorability check).
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
 instances whose shift search, l * seq_len^2 steps, exceeds
-WITNESS_MAX_SHIFT_STEPS.  gen --dedup, solve --dedup and verify-small build
-the distinct edges directly, in memory proportional to their number, never
-the multiset; the edge cap still applies to the multiset count.
+WITNESS_MAX_SHIFT_STEPS.  gen --dedup, solve (with or without --dedup) and
+verify-small build the distinct edges directly, in memory proportional to
+their number, never the multiset; the edge cap still applies to the
+multiset count.  solve --dedup reports the distinct clause count, solve
+without it the multiset's; the verdict and decisions are the same.  count
+and bound refuse, before printing anything, when an exact edge count they
+would print has more than COUNT_MAX_BITS bits.
 
 Exit codes: 0 success, also when the reader of stdout closes the pipe
 early; 2 usage or parameter error, including a negative edge cap and an
-unreadable coloring file; 3 size refusal (edge cap, exhaustive-search limit
-or witness shift-search limit); 4 verification failure, which would mean a
-bug in the construction.  The default edge cap of gen, solve and
-verify-small can be overridden with --edge-cap or the PROPB_EDGE_CAP
-environment variable.
+unreadable coloring file; 3 size refusal (edge cap, exhaustive-search
+limit, witness shift-search limit or exact-count printing limit); 4
+verification failure, which would mean a bug in the construction.  The
+default edge cap of gen, solve and verify-small can be overridden with
+--edge-cap or the PROPB_EDGE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .construction import (
     DEFAULT_EDGE_CAP,
     Edge,
     EdgeCapError,
-    build_full,
     check_edge_cap,
     distinct_hypergraph,
     edge_line,
@@ -44,6 +47,7 @@ from .construction import (
 from .params import ParameterError, Params, validate_params
 from .satbridge import dpll_satisfiable, hypergraph_to_cnf, write_dual_dimacs
 from .witness import (
+    MAX_EXHAUSTIVE_VERTICES,
     ColoringError,
     find_proper_coloring,
     find_witness,
@@ -56,11 +60,15 @@ EXIT_USAGE = 2
 EXIT_SIZE = 3
 EXIT_VERIFY = 4
 
-VERIFY_SMALL_MAX_VERTICES = 26
 # witness scans every shift of each chosen sequence against every still
 # passing position: at most l * seq_len^2 steps, about 1.7 s at this limit
 # (k = 1581, l = 1) on a 2-vCPU x86-64 VM.
 WITNESS_MAX_SHIFT_STEPS = 10**7
+# count and bound print exact edge counts in full.  Decimal conversion takes
+# time quadratic in the length, and CPython refuses ints above 4300 digits
+# (about 14,284 bits) by default; a fixed limit in bits keeps the output the
+# same on every Python version.
+COUNT_MAX_BITS = 14_000
 
 
 def _default_edge_cap() -> int:
@@ -91,9 +99,19 @@ def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
+def _refuse_count(out: IO[str], count: int) -> int:
+    out.write(
+        f"refusing: the exact edge count has {count.bit_length()} bits, above the printing "
+        f"limit of {COUNT_MAX_BITS}\n"
+    )
+    return EXIT_SIZE
+
+
 def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     count = counting.edge_count(params)
+    if count.bit_length() > COUNT_MAX_BITS:
+        return _refuse_count(out, count)
     bound = counting.edge_count_upper_bound(params.k, params.l)
     verdict = "yes" if bound.certifies_at_most(count) else "NO"
     out.write(f"k = {params.k}, l = {params.l}, vertices = {params.num_vertices}\n")
@@ -107,19 +125,19 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
     k = args.k
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
-    rows = []
-    for l in counting.divisors(k):
-        params = validate_params(k, l)
-        count = counting.edge_count(params)
-        bound = counting.edge_count_upper_bound(k, l)
-        rows.append((l, params.seq_len, count, bound))
+    rows = [validate_params(k, l) for l in counting.divisors(k)]
+    counts = [counting.edge_count(params) for params in rows]
+    longest = max(counts)
+    if longest.bit_length() > COUNT_MAX_BITS:
+        return _refuse_count(out, longest)
     best = counting.best_l(k)
     out.write(f"{'l':>4} {'seq_len':>8} {'edge_count':>16} {'upper_bound':>13} {'ok':>3}\n")
     failures = 0
-    for l, seq_len, count, bound in rows:
+    for params, count in zip(rows, counts):
+        bound = counting.edge_count_upper_bound(k, params.l)
         ok = bound.certifies_at_most(count)
         failures += 0 if ok else 1
-        out.write(f"{l:>4} {seq_len:>8} {count:>16} {counting.scientific(bound.upper):>13} {'yes' if ok else 'NO':>3}\n")
+        out.write(f"{params.l:>4} {params.seq_len:>8} {count:>16} {counting.scientific(bound.upper):>13} {'yes' if ok else 'NO':>3}\n")
     out.write(f"best l = {best} (edge count {counting.edge_count(validate_params(k, best))})\n")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
@@ -156,13 +174,12 @@ def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    if args.dedup:
-        hypergraph = distinct_hypergraph(params, args.edge_cap)
-    else:
-        hypergraph = build_full(params, args.edge_cap)
-    cnf = hypergraph_to_cnf(hypergraph)
+    cnf = hypergraph_to_cnf(distinct_hypergraph(params, args.edge_cap))
     result = dpll_satisfiable(cnf)
-    stats = f"variables = {cnf.variable_count}, clauses = {len(cnf.clauses)}, decisions = {result.decisions}"
+    # The solver drops duplicate clauses, so the multiset dual is decided by
+    # its distinct clauses; without --dedup it is still the one reported.
+    clauses = len(cnf.clauses) if args.dedup else 2 * counting.edge_count(params)
+    stats = f"variables = {cnf.variable_count}, clauses = {clauses}, decisions = {result.decisions}"
     if result.satisfiable:
         out.write(f"satisfiable ({stats})\n")
         out.write("ERROR: the dual CNF must be unsatisfiable; this is a bug\n")
@@ -173,14 +190,13 @@ def cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_verify_small(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    if params.num_vertices > VERIFY_SMALL_MAX_VERTICES:
+    if params.num_vertices > MAX_EXHAUSTIVE_VERTICES:
         out.write(
             f"refusing: {params.num_vertices} vertices exceed the exhaustive limit "
-            f"of {VERIFY_SMALL_MAX_VERTICES}\n"
+            f"of {MAX_EXHAUSTIVE_VERTICES}\n"
         )
         return EXIT_SIZE
-    hypergraph = distinct_hypergraph(params, args.edge_cap)
-    proper = find_proper_coloring(hypergraph, VERIFY_SMALL_MAX_VERTICES)
+    proper = find_proper_coloring(distinct_hypergraph(params, args.edge_cap))
     checked = 2**params.num_vertices
     if proper is None:
         out.write(f"non-2-colorable: confirmed ({checked} colorings checked)\n")
@@ -238,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="decide the dual CNF with the embedded DPLL")
     add_common(p_solve)
-    p_solve.add_argument("--dedup", action="store_true", help="solve the deduplicated dual")
+    p_solve.add_argument(
+        "--dedup", action="store_true", help="report the distinct clause count, not the multiset's"
+    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser(

@@ -13,10 +13,10 @@ taken modulo the period of the block: iter_distinct_edges streams them, one
 per edge, with no hashing.  Membership needs no hypergraph either: is_edge
 decides it from the vertex tuple alone.
 
-Edges are canonical sorted tuples of 0-based integer vertex encodings (see
-params.vertex_index).  Emission order is lexicographic over (sequence
-subset, shift tuple, block), so builds are byte-reproducible; build_full
-keeps duplicate edges (the counted multiset), dedup() removes them, and
+Edges are canonical sorted tuples of 0-based integer vertex encodings
+(seq * seq_len + pos, see params).  Emission order is lexicographic over
+(sequence subset, shift tuple, block), so builds are byte-reproducible;
+build_full keeps duplicate edges (the counted multiset), dedup() removes them, and
 distinct_hypergraph builds the distinct edges directly.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,

@@ -58,7 +58,14 @@ def scientific(value: Fraction) -> str:
         return f"{float(value):.4e}"
     except OverflowError:
         pass
-    exponent = len(str(math.floor(value))) - 1
+    # 10^exponent <= whole < 10^(exponent + 1), found without str(whole),
+    # which CPython refuses for ints above 4300 digits.
+    whole = math.floor(value)
+    exponent = math.floor((whole.bit_length() - 1) * math.log10(2))
+    while 10**exponent > whole:
+        exponent -= 1
+    while 10 ** (exponent + 1) <= whole:
+        exponent += 1
     digits = round(value / Fraction(10) ** (exponent - 4))
     if digits == 10**5:
         digits, exponent = digits // 10, exponent + 1

@@ -10,7 +10,6 @@ number vertices 1-based in that same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 class ParameterError(ValueError):
@@ -19,11 +18,6 @@ class ParameterError(ValueError):
 
 class DivisibilityError(ParameterError):
     """l does not divide k, so the per-sequence block size is not integral."""
-
-
-class VertexId(NamedTuple):
-    seq: int
-    pos: int
 
 
 @dataclass(frozen=True)
@@ -61,20 +55,3 @@ def validate_params(k: int, l: int) -> Params:
     block_size = k // l
     seq_len = (2**l) * block_size
     return Params(k=k, l=l, seq_len=seq_len, block_size=block_size)
-
-
-def vertex_index(params: Params, vertex: VertexId) -> int:
-    """0-based integer encoding of a vertex; add 1 for the text formats."""
-    seq, pos = vertex
-    if not (0 <= seq < params.num_sequences):
-        raise IndexError(f"sequence index {seq} out of range 0..{params.num_sequences - 1}")
-    if not (0 <= pos < params.seq_len):
-        raise IndexError(f"position {pos} out of range 0..{params.seq_len - 1}")
-    return seq * params.seq_len + pos
-
-
-def vertex_at(params: Params, index: int) -> VertexId:
-    """Inverse of vertex_index()."""
-    if not (0 <= index < params.num_vertices):
-        raise IndexError(f"vertex index {index} out of range 0..{params.num_vertices - 1}")
-    return VertexId(index // params.seq_len, index % params.seq_len)

@@ -27,10 +27,6 @@ class DimacsError(ValueError):
     """Malformed DIMACS text."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Decision budget ran out before the search finished (no verdict)."""
-
-
 @dataclass(frozen=True)
 class Cnf:
     variable_count: int
@@ -70,10 +66,6 @@ def coloring_to_assignment(coloring: Coloring) -> dict[int, bool]:
     return {i + 1: c == BLUE for i, c in enumerate(coloring)}
 
 
-def assignment_to_coloring(assignment: dict[int, bool], variable_count: int) -> Coloring:
-    return "".join("B" if assignment[v] else "R" for v in range(1, variable_count + 1))
-
-
 def assignment_satisfies(cnf: Cnf, assignment: dict[int, bool]) -> bool:
     return all(
         any(assignment[abs(lit)] == (lit > 0) for lit in clause) for clause in cnf.clauses
@@ -81,7 +73,7 @@ def assignment_satisfies(cnf: Cnf, assignment: dict[int, bool]) -> bool:
 
 
 class _Dpll:
-    def __init__(self, cnf: Cnf, node_budget: int | None):
+    def __init__(self, cnf: Cnf):
         # Duplicate clauses carry no information; solve the distinct set.
         seen: set[Clause] = set()
         clauses: list[Clause] = []
@@ -92,7 +84,6 @@ class _Dpll:
                 clauses.append(key)
         self.nvars = cnf.variable_count
         self.clauses = clauses
-        self.budget = node_budget
         self.decisions = 0
 
         self.occ: dict[int, list[int]] = {}
@@ -149,20 +140,10 @@ class _Dpll:
                     return -v
         return None
 
-    def _propagate(self, lits: list[int], unit_queue: list[int]) -> tuple[bool, int]:
-        """Assign lits, then units and pures to fixpoint; (ok, trail growth)."""
+    def _propagate(self, lit: int | None, unit_queue: list[int]) -> tuple[bool, int]:
+        """Assign the free literal lit, if any, then units and pures to fixpoint; (ok, trail growth)."""
         mark = len(self.trail)
-        ok = True
-        for lit in lits:
-            current = self.assign[abs(lit)]
-            if current != 0:
-                if (current > 0) != (lit > 0):
-                    ok = False
-                    break
-                continue
-            if not self._set(lit, unit_queue):
-                ok = False
-                break
+        ok = lit is None or self._set(lit, unit_queue)
         while ok:
             while ok and unit_queue:
                 ci = unit_queue.pop()
@@ -199,10 +180,8 @@ class _Dpll:
         if variable == 0:
             return False
         self.decisions += 1
-        if self.budget is not None and self.decisions > self.budget:
-            raise BudgetExceededError(f"exceeded the budget of {self.budget} decisions")
         for lit in (variable, -variable):
-            ok, grown = self._propagate([lit], [])
+            ok, grown = self._propagate(lit, [])
             if ok and self._search():
                 return True
             self._undo(grown)
@@ -211,20 +190,16 @@ class _Dpll:
     def solve(self) -> SolveResult:
         if any(n == 0 for n in self.n_free):  # empty clause
             return SolveResult(False, None, 0)
-        ok, _ = self._propagate([], [ci for ci, n in enumerate(self.n_free) if n == 1])
+        ok, _ = self._propagate(None, [ci for ci, n in enumerate(self.n_free) if n == 1])
         if ok and self._search():
             model = {v: self.assign[v] > 0 for v in range(1, self.nvars + 1)}
             return SolveResult(True, model, self.decisions)
         return SolveResult(False, None, self.decisions)
 
 
-def dpll_satisfiable(cnf: Cnf, node_budget: int | None = None) -> SolveResult:
-    """Complete satisfiability decision; models are verified before returning.
-
-    Raises BudgetExceededError when the decision count passes node_budget; a
-    result, when returned, is always a real verdict.
-    """
-    result = _Dpll(cnf, node_budget).solve()
+def dpll_satisfiable(cnf: Cnf) -> SolveResult:
+    """Complete satisfiability decision; models are verified before returning."""
+    result = _Dpll(cnf).solve()
     if result.satisfiable:
         assert result.model is not None
         if not assignment_satisfies(cnf, result.model):

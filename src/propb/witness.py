@@ -35,6 +35,9 @@ COLORS = (RED, BLUE)
 
 Coloring = str
 
+# find_proper_coloring checks all 2^V colorings: about 67M at this limit.
+MAX_EXHAUSTIVE_VERTICES = 26
+
 
 class ColoringError(ValueError):
     """Coloring is not a total map over the vertex universe."""
@@ -231,7 +234,9 @@ def monochromatic_witness(params: Params, hypergraph: Hypergraph, coloring: Colo
     return witness
 
 
-def find_proper_coloring(hypergraph: Hypergraph, max_vertices: int = 26) -> Coloring | None:
+def find_proper_coloring(
+    hypergraph: Hypergraph, max_vertices: int = MAX_EXHAUSTIVE_VERTICES
+) -> Coloring | None:
     """Exhaustive bitmask search for a proper 2-coloring; None if there is none.
 
     Checks all 2^V colorings, so it refuses universes above max_vertices.

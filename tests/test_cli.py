@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from propb import cli
+from propb import cli, construction
 from propb.params import validate_params
 from propb.satbridge import parse_dimacs
 from propb.witness import random_coloring
@@ -152,6 +157,21 @@ def test_bounds_past_the_float_range(capsys):
     assert out.endswith("count <= bound: yes\n")
 
 
+def test_counts_too_long_to_print_are_refused(capsys, monkeypatch):
+    # count --k 128 --l 128 has 16,763 bits, bound --k 4096 16,789,497
+    for argv in (("count", "--k", "128", "--l", "128"), ("bound", "--k", "4096")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and err == ""
+        assert out.startswith("refusing:") and out.count("\n") == 1
+    # (5000, 1): 10,007 bits
+    monkeypatch.setattr(cli, "COUNT_MAX_BITS", 10_007)
+    assert run(capsys, "count", "--k", "5000", "--l", "1")[0] == 0
+    monkeypatch.setattr(cli, "COUNT_MAX_BITS", 10_006)
+    code, out, _ = run(capsys, "count", "--k", "5000", "--l", "1")
+    assert code == 3
+    assert "10007 bits" in out
+
+
 def test_witness_from_file(capsys, tmp_path):
     path = tmp_path / "coloring.txt"
     path.write_text("RRRRBBBBRRRR\n")
@@ -261,6 +281,36 @@ def test_solve_dedup(capsys):
     assert "clauses = 96" in out
 
 
+# Printed when solve without --dedup still built the whole multiset; the
+# decisions match because the solver only ever saw its distinct clauses.
+SOLVE_LINES = [
+    (2, 1, "4, clauses = 48, decisions = 1", "4, clauses = 12, decisions = 1"),
+    (3, 1, "6, clauses = 240, decisions = 5", "6, clauses = 40, decisions = 5"),
+    (2, 2, "12, clauses = 384, decisions = 1", "12, clauses = 96, decisions = 1"),
+    (4, 2, "24, clauses = 10752, decisions = 87", "24, clauses = 1248, decisions = 87"),
+    (3, 3, "40, clauses = 81920, decisions = 527", "40, clauses = 10240, decisions = 527"),
+    (7, 1, "14, clauses = 96096, decisions = 923", "14, clauses = 6864, decisions = 923"),
+]
+
+
+@pytest.mark.parametrize("k,l,multiset,distinct", SOLVE_LINES, ids=[f"{k}-{l}" for k, l, *_ in SOLVE_LINES])
+def test_solve_output_pinned(capsys, k, l, multiset, distinct):
+    for flags, stats in (((), multiset), (("--dedup",), distinct)):
+        code, out, err = run(capsys, "solve", "--k", str(k), "--l", str(l), *flags)
+        assert (code, err) == (0, "")
+        assert out == f"unsatisfiable (variables = {stats})\n"
+
+
+def test_solve_builds_no_multiset(capsys, monkeypatch):
+    def refuse(params):
+        raise RuntimeError("solve enumerated the edge multiset")
+
+    monkeypatch.setattr(construction, "iter_edges", refuse)
+    code, out, _ = run(capsys, "solve", "--k", "4", "--l", "2")
+    assert code == 0
+    assert out == "unsatisfiable (variables = 24, clauses = 10752, decisions = 87)\n"
+
+
 def test_verify_small_confirms(capsys):
     code, out, _ = run(capsys, "verify-small", "--k", "2", "--l", "2")
     assert code == 0
@@ -277,3 +327,58 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 2
+
+
+# Cheap instances only: k <= 12 keeps count, bound and witness fast, and gen,
+# solve and verify-small always get an edge cap of at most 2000 (solve then
+# sees at most (4, 1), verify-small at most 12 vertices).
+NUMBERS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["abc", "", "1.5", "0x10"]))
+OPTIONS = {
+    "--k": NUMBERS,
+    "--l": NUMBERS,
+    "--edge-cap": st.one_of(st.integers(-2, 2000).map(str), st.sampled_from(["abc", ""])),
+    "--seed": st.one_of(st.integers(-5, 10**6).map(str), st.just("seed")),
+    "--format": st.sampled_from(["edges", "dimacs", "xml"]),
+    "--dedup": st.none(),
+    "--coloring": st.sampled_from(["random bytes", "directory", "missing"]),
+}
+CAPPED = ("gen", "solve", "verify-small")
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["gen", "count", "bound", "witness", "solve", "verify-small"]))
+    flags = draw(st.lists(st.sampled_from(sorted(OPTIONS)), unique=True))
+    if command in CAPPED and "--edge-cap" not in flags:
+        flags.append("--edge-cap")
+    argv = [command]
+    for flag in flags:
+        value = draw(OPTIONS[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv, draw(st.binary(max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+# Counts past CPython's 4300-digit int-to-str limit, in the exact count or in
+# the bound's exponent: each used to end in a ValueError traceback.
+@example((["count", "--k", "6000", "--l", "1"], b""))
+@example((["bound", "--k", "6000"], b""))
+@example((["count", "--k", "128", "--l", "128"], b""))
+@example((["bound", "--k", "4096"], b""))
+@example((["witness", "--k", "2", "--l", "1", "--coloring", "random bytes"], "RRBÉ".encode()))
+@example((["witness", "--k", "2", "--l", "1", "--coloring", "directory"], b""))
+def test_cli_fuzz_exit_codes(case):
+    argv, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "coloring.txt")
+        path.write_bytes(data)
+        files = {"random bytes": str(path), "directory": tmp, "missing": str(Path(tmp, "absent"))}
+        argv = [files.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())

@@ -108,6 +108,11 @@ def test_scientific_matches_float_formatting_and_goes_past_it():
         Fraction(999_995 * 10**400),
         Fraction(999_985 * 10**400),
         Fraction(3**2000, 7**5),
+        # past CPython's 4300-digit int-to-str limit
+        Fraction(10**5000),
+        Fraction(2**20000, 3),
+        Fraction(10**4400 - 1),
+        Fraction(999_995 * 10**4400),
     ]
     for value in huge:
         with pytest.raises(OverflowError):

@@ -2,15 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from propb.params import (
-    DivisibilityError,
-    ParameterError,
-    Params,
-    VertexId,
-    validate_params,
-    vertex_at,
-    vertex_index,
-)
+from propb.params import DivisibilityError, ParameterError, Params, validate_params
 
 
 def test_k2_l1():
@@ -54,24 +46,3 @@ def test_derived_fields(k, l):
     assert p.seq_len == 2**l * k // l
     assert p.block_size * l == k
     assert p.seq_len >= p.block_size
-
-
-def test_vertex_numbering_round_trip():
-    p = validate_params(4, 2)
-    indices = []
-    for seq in range(p.num_sequences):
-        for pos in range(p.seq_len):
-            idx = vertex_index(p, VertexId(seq, pos))
-            assert vertex_at(p, idx) == (seq, pos)
-            indices.append(idx)
-    assert indices == list(range(p.num_vertices))
-
-
-def test_vertex_numbering_bounds():
-    p = validate_params(2, 1)
-    with pytest.raises(IndexError):
-        vertex_index(p, VertexId(1, 0))
-    with pytest.raises(IndexError):
-        vertex_index(p, VertexId(0, 4))
-    with pytest.raises(IndexError):
-        vertex_at(p, 4)

@@ -7,11 +7,9 @@ from helpers import all_colorings, has_monochromatic_edge, truth_table_satisfiab
 from propb.construction import Hypergraph, build_full, dedup, edge_line, write_edge_list
 from propb.params import validate_params
 from propb.satbridge import (
-    BudgetExceededError,
     Cnf,
     DimacsError,
     assignment_satisfies,
-    assignment_to_coloring,
     coloring_to_assignment,
     dpll_satisfiable,
     emit_dimacs,
@@ -68,7 +66,6 @@ def test_dual_clauses_are_monotone_and_k_wide(k, l):
 def test_coloring_to_assignment():
     assert coloring_to_assignment("BBBB") == {1: True, 2: True, 3: True, 4: True}
     assert coloring_to_assignment("RRRR") == {1: False, 2: False, 3: False, 4: False}
-    assert assignment_to_coloring({1: True, 2: False}, 2) == "BR"
 
 
 def test_proper_coloring_satisfies_dual():
@@ -119,14 +116,6 @@ def test_dpll_agrees_with_truth_table_on_random_cnfs():
         assert result.satisfiable == expected
         if result.satisfiable:
             assert assignment_satisfies(cnf, result.model)
-
-
-def test_dpll_budget():
-    cnf = hypergraph_to_cnf(build_full(validate_params(4, 1)))
-    with pytest.raises(BudgetExceededError):
-        dpll_satisfiable(cnf, node_budget=1)
-    # a generous budget still finishes
-    assert not dpll_satisfiable(cnf, node_budget=10**6).satisfiable
 
 
 def test_dpll_pure_literal_shortcut():

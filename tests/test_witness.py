@@ -293,4 +293,4 @@ def test_find_proper_coloring_none_for_construction():
 def test_find_proper_coloring_respects_vertex_limit():
     p = validate_params(6, 2)  # 36 vertices
     with pytest.raises(ValueError):
-        find_proper_coloring(Hypergraph(p, ()), max_vertices=26)
+        find_proper_coloring(Hypergraph(p, ()))
