@@ -14,7 +14,10 @@ their number, never the multiset; the edge cap still applies to the
 multiset count.  solve --dedup reports the distinct clause count, solve
 without it the multiset's; the verdict and decisions are the same.  count
 and bound refuse, before printing anything, when an exact edge count they
-would print has more than COUNT_MAX_BITS bits.
+would print has more than COUNT_MAX_BITS bits.  A count is at least
+2^(l*l), so when l*l (for bound, k*k) reaches that limit they refuse
+without computing any count; count without --l skips, in the same way,
+every l whose count cannot be the smallest.
 
 Exit codes: 0 success, also when the reader of stdout closes the pipe
 early; 2 usage or parameter error, including a negative edge cap and an
@@ -99,9 +102,9 @@ def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _refuse_count(out: IO[str], count: int) -> int:
+def _refuse_count(out: IO[str], bits: str) -> int:
     out.write(
-        f"refusing: the exact edge count has {count.bit_length()} bits, above the printing "
+        f"refusing: the exact edge count has {bits} bits, above the printing "
         f"limit of {COUNT_MAX_BITS}\n"
     )
     return EXIT_SIZE
@@ -109,9 +112,12 @@ def _refuse_count(out: IO[str], count: int) -> int:
 
 def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
+    # The count is at least seq_len^l >= 2^(l*l): refuse before computing it.
+    if params.l * params.l >= COUNT_MAX_BITS:
+        return _refuse_count(out, f"more than {params.l * params.l}")
     count = counting.edge_count(params)
     if count.bit_length() > COUNT_MAX_BITS:
-        return _refuse_count(out, count)
+        return _refuse_count(out, str(count.bit_length()))
     bound = counting.edge_count_upper_bound(params.k, params.l)
     verdict = "yes" if bound.certifies_at_most(count) else "NO"
     out.write(f"k = {params.k}, l = {params.l}, vertices = {params.num_vertices}\n")
@@ -125,12 +131,14 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
     k = args.k
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
+    # The l = k row's count is at least 2^(k*k), as in cmd_count.
+    if k * k >= COUNT_MAX_BITS:
+        return _refuse_count(out, f"more than {k * k}")
     rows = [validate_params(k, l) for l in counting.divisors(k)]
     counts = [counting.edge_count(params) for params in rows]
     longest = max(counts)
     if longest.bit_length() > COUNT_MAX_BITS:
-        return _refuse_count(out, longest)
-    best = counting.best_l(k)
+        return _refuse_count(out, str(longest.bit_length()))
     out.write(f"{'l':>4} {'seq_len':>8} {'edge_count':>16} {'upper_bound':>13} {'ok':>3}\n")
     failures = 0
     for params, count in zip(rows, counts):
@@ -138,7 +146,8 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
         ok = bound.certifies_at_most(count)
         failures += 0 if ok else 1
         out.write(f"{params.l:>4} {params.seq_len:>8} {count:>16} {counting.scientific(bound.upper):>13} {'yes' if ok else 'NO':>3}\n")
-    out.write(f"best l = {best} (edge count {counting.edge_count(validate_params(k, best))})\n")
+    best_count, best = min(zip(counts, (params.l for params in rows)))
+    out.write(f"best l = {best} (edge count {best_count})\n")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 

@@ -2,10 +2,10 @@
 
 For l chosen sequences, an edge is cut out by a shift tuple (one cyclic
 rotation per sequence) and a block S of block_size positions: it contains,
-for every chosen sequence, the vertices at the shifted positions of S.  A
-per-subset hypergraph enumerates all seq_len^l shift tuples and all
-C(seq_len, block_size) blocks; the full construction concatenates the
-per-subset hypergraphs over all C(2l-1, l) sequence subsets.
+for every chosen sequence, the vertices at the shifted positions of S.
+iter_edges streams, for each of the C(2l-1, l) sequence subsets in
+lexicographic order, the edges of all seq_len^l shift tuples and all
+C(seq_len, block_size) blocks: the counted multiset.
 
 Rotating every shift by -s_0 and the block by +s_0 gives the same edge, so
 the distinct edges are exactly the tuples with s_0 = 0 and every other shift
@@ -38,10 +38,6 @@ Edge = tuple[int, ...]
 DEFAULT_EDGE_CAP = 10_000_000
 
 
-class ConstructionError(ValueError):
-    """Edge ingredients with the wrong cardinalities."""
-
-
 class EdgeCapError(RuntimeError):
     """Refused to build: the edge multiset would exceed the configured cap."""
 
@@ -71,63 +67,14 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
-def _check_chosen_seqs(params: Params, chosen_seqs: Sequence[int]) -> tuple[int, ...]:
-    chosen = tuple(chosen_seqs)
-    if len(chosen) != params.l or len(set(chosen)) != params.l:
-        raise ConstructionError(f"need {params.l} distinct sequence indices, got {chosen}")
-    for seq in chosen:
-        if not (0 <= seq < params.num_sequences):
-            raise IndexError(f"sequence index {seq} out of range 0..{params.num_sequences - 1}")
-    return chosen
-
-
-def edge_from(
-    params: Params,
-    chosen_seqs: Sequence[int],
-    shifts: Sequence[int],
-    positions: Iterable[int],
-) -> Edge:
-    """The k-vertex edge cut out by (chosen_seqs, shifts, positions).
-
-    positions is the block S of block_size distinct positions; each chosen
-    sequence contributes its vertices at (r + shift) mod seq_len for r in S.
-    """
-    chosen = _check_chosen_seqs(params, chosen_seqs)
-    kp = params.seq_len
-    if len(shifts) != params.l:
-        raise ConstructionError(f"need {params.l} shifts, got {len(shifts)}")
-    for shift in shifts:
-        if not (0 <= shift < kp):
-            raise IndexError(f"shift {shift} out of range 0..{kp - 1}")
-    block = sorted(set(positions))
-    if len(block) != params.block_size:
-        raise ConstructionError(
-            f"need {params.block_size} distinct positions, got {len(block)}"
-        )
-    for r in block:
-        if not (0 <= r < kp):
-            raise IndexError(f"position {r} out of range 0..{kp - 1}")
-    edge = tuple(
-        sorted(seq * kp + (r + shift) % kp for seq, shift in zip(chosen, shifts) for r in block)
-    )
-    if len(set(edge)) != params.k:
-        raise AssertionError(f"edge collision for seqs={chosen} shifts={tuple(shifts)} S={block}")
-    return edge
-
-
-def iter_subset_edges(params: Params, chosen_seqs: Sequence[int]) -> Iterator[Edge]:
-    """Edges of the per-subset hypergraph, lexicographic: shift tuple major, block minor.
-
-    Shifts apply to the chosen sequences in ascending order, so a reordered
-    chosen_seqs yields the same edges.
-    """
-    chosen = sorted(_check_chosen_seqs(params, chosen_seqs))
+def _subset_edges(params: Params, chosen: tuple[int, ...]) -> Iterator[Edge]:
+    """Edges of one ascending sequence subset, lexicographic: shift tuple major, block minor."""
     kp = params.seq_len
     combos = list(itertools.combinations(range(kp), params.block_size))
 
     # Per sequence and shift, the sorted vertex tuple of every block,
-    # precomputed once; an edge is then just a concatenation.  The sorted
-    # sequences have ascending, disjoint vertex ranges, so the concatenation
+    # precomputed once; an edge is then just a concatenation.  The chosen
+    # sequences ascend and have disjoint vertex ranges, so the concatenation
     # is already canonically sorted.
     pre = []
     for seq in chosen:
@@ -149,8 +96,9 @@ def iter_subset_edges(params: Params, chosen_seqs: Sequence[int]) -> Iterator[Ed
 
 def iter_edges(params: Params) -> Iterator[Edge]:
     """All edges of the full construction, streamed in canonical order."""
+    # One generator per subset, so only one subset's tables are alive at a time.
     for chosen in itertools.combinations(range(params.num_sequences), params.l):
-        yield from iter_subset_edges(params, chosen)
+        yield from _subset_edges(params, chosen)
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:

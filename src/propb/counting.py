@@ -144,6 +144,10 @@ def best_l(k: int) -> int:
     """The divisor of k that minimizes the exact edge count; ties go low.
 
     Exact minimization over the valid l values (asymptotically l near log2 k
-    wins, but for small k that is usually l = 1).
+    wins, but for small k that is usually l = 1).  Every count is at least
+    seq_len^l >= 2^(l*l), so a divisor with l*l at least the bit length of
+    the l = 1 count cannot win; it is skipped without computing its count.
     """
-    return min(divisors(k), key=lambda l: _edge_count(k, l))
+    ls = divisors(k)
+    limit = _edge_count(k, 1).bit_length()
+    return min((l for l in ls if l * l < limit), key=lambda l: _edge_count(k, l))

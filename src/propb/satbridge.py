@@ -174,18 +174,35 @@ class _Dpll:
         return best
 
     def _search(self) -> bool:
-        if self.sat_clauses == len(self.clauses):
-            return True
-        variable = self._pick()
-        if variable == 0:
-            return False
-        self.decisions += 1
-        for lit in (variable, -variable):
-            ok, grown = self._propagate(lit, [])
-            if ok and self._search():
-                return True
-            self._undo(grown)
-        return False
+        """Depth-first over decisions, positive literal first, with an explicit stack.
+
+        Each stack entry is one open decision: (variable, literal in force,
+        trail growth of its propagation), so depth is bounded by the variable
+        count, not by Python's recursion limit.
+        """
+        stack: list[tuple[int, int, int]] = []
+        ok = True
+        while True:
+            if ok:
+                if self.sat_clauses == len(self.clauses):
+                    return True
+                variable = self._pick()
+                if variable:
+                    self.decisions += 1
+                    ok, grown = self._propagate(variable, [])
+                    stack.append((variable, variable, grown))
+                    continue
+            # The branch on top failed: undo it and take the other literal,
+            # or, when both have failed, backtrack into the decision below.
+            while stack:
+                variable, lit, grown = stack.pop()
+                self._undo(grown)
+                if lit == variable:
+                    ok, grown = self._propagate(-variable, [])
+                    stack.append((variable, -variable, grown))
+                    break
+            else:
+                return False
 
     def solve(self) -> SolveResult:
         if any(n == 0 for n in self.n_free):  # empty clause

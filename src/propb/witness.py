@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .construction import Edge, Hypergraph, edge_from, is_edge
+from .construction import Edge, Hypergraph, is_edge
 from .params import Params
 
 RED = "R"
@@ -218,7 +218,8 @@ def find_witness(params: Params, coloring: Coloring) -> Witness:
     profile = majority_profile(params, coloring)
     color, chosen = select_same_majority(params, profile)
     shifts, block = derandomized_shifts(params, coloring, color, chosen)
-    edge = edge_from(params, chosen, shifts, block)
+    kp = params.seq_len
+    edge = tuple(sorted(seq * kp + (r + s) % kp for seq, s in zip(chosen, shifts) for r in block))
     if any(coloring[v] != color for v in edge):
         raise AssertionError(f"witness edge {edge} is not monochromatic in {color}")
     if not is_edge(params, edge):

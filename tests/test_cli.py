@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from propb import cli, construction
+from propb import cli, construction, counting
 from propb.params import validate_params
 from propb.satbridge import parse_dimacs
 from propb.witness import random_coloring
@@ -170,6 +170,35 @@ def test_counts_too_long_to_print_are_refused(capsys, monkeypatch):
     code, out, _ = run(capsys, "count", "--k", "5000", "--l", "1")
     assert code == 3
     assert "10007 bits" in out
+
+
+def test_count_and_bound_compute_no_count_they_can_rule_out(capsys, monkeypatch):
+    # Every count is at least 2^(l*l), so no count with l*l >= COUNT_MAX_BITS
+    # can be printed, nor be the smallest for best_l; none is computed.
+    computed = []
+    edge_count = counting._edge_count
+
+    def recording(k, l):
+        computed.append(l)
+        return edge_count(k, l)
+
+    monkeypatch.setattr(counting, "_edge_count", recording)
+    code, out, err = run(capsys, "count", "--k", "6000")
+    assert code == 0 and err == ""
+    assert out.startswith("k = 6000, l = 15, vertices = 380108800\n")
+    # stdout as printed when every divisor's count was computed
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "51ead6fb8a98bdec3326560db62b187ebbec3bdce9b3c1022602b310bce60adb"
+    )
+    for argv in (("bound", "--k", "6000"), ("count", "--k", "100000", "--l", "100000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and err == ""
+        l = int(argv[-1])
+        assert out == (
+            f"refusing: the exact edge count has more than {l * l} bits, above the printing "
+            "limit of 14000\n"
+        )
+    assert computed and max(l * l for l in computed) < cli.COUNT_MAX_BITS
 
 
 def test_witness_from_file(capsys, tmp_path):
@@ -366,6 +395,8 @@ def fuzz_argv(draw):
 @example((["bound", "--k", "6000"], b""))
 @example((["count", "--k", "128", "--l", "128"], b""))
 @example((["bound", "--k", "4096"], b""))
+# best_l must reject a non-positive k before it computes the l = 1 count.
+@example((["count", "--k", "-3"], b""))
 @example((["witness", "--k", "2", "--l", "1", "--coloring", "random bytes"], "RRBÉ".encode()))
 @example((["witness", "--k", "2", "--l", "1", "--coloring", "directory"], b""))
 def test_cli_fuzz_exit_codes(case):

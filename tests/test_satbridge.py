@@ -126,6 +126,19 @@ def test_dpll_pure_literal_shortcut():
     assert result.decisions == 0
 
 
+def test_dpll_search_depth_is_not_bounded_by_recursion():
+    # 1200 independent pairs x != y: each takes its own decision, nested one
+    # below the other, deeper than Python's default recursion limit of 1000.
+    clauses = []
+    for i in range(1200):
+        x, y = 2 * i + 1, 2 * i + 2
+        clauses += [(x, y), (-x, -y)]
+    cnf = Cnf(2400, tuple(clauses))
+    result = dpll_satisfiable(cnf)
+    assert result.satisfiable and result.decisions == 1200
+    assert assignment_satisfies(cnf, result.model)
+
+
 def test_emit_dimacs_examples():
     assert emit_dimacs(Cnf(2, ((1, 2), (-1, -2)))) == "p cnf 2 2\n1 2 0\n-1 -2 0\n"
     assert emit_dimacs(Cnf(0, ())) == "p cnf 0 0\n"

@@ -21,6 +21,7 @@ from propb.witness import (
     conditional_expectation,
     derandomized_shifts,
     find_proper_coloring,
+    find_witness,
     majority_profile,
     monochromatic_witness,
     parse_coloring,
@@ -251,6 +252,27 @@ def test_witness_random_sweep():
     for _ in range(300):
         coloring = random_coloring(p, rng)
         w = monochromatic_witness(p, h, coloring)
+        assert all(coloring[v] == w.color for v in w.edge)
+
+
+@pytest.mark.parametrize("k,l", [(2, 1), (4, 2), (3, 3), (6, 2), (64, 4)])
+def test_witness_edge_is_cut_out_by_its_reported_ingredients(k, l):
+    # `witness` prints the sequences, shifts and positions next to the edge,
+    # and an outside checker rebuilds the edge from those three lines.
+    p = validate_params(k, l)
+    kp = p.seq_len
+    rng = random.Random(70 * k + l)
+    for _ in range(10):
+        coloring = random_coloring(p, rng)
+        w = find_witness(p, coloring)
+        assert len(w.chosen_seqs) == l and list(w.chosen_seqs) == sorted(set(w.chosen_seqs))
+        assert all(0 <= seq < p.num_sequences for seq in w.chosen_seqs)
+        assert len(w.shifts) == l and all(0 <= shift < kp for shift in w.shifts)
+        assert len(set(w.positions)) == p.block_size and all(0 <= r < kp for r in w.positions)
+        vertices = set()
+        for seq, shift in zip(w.chosen_seqs, w.shifts):
+            vertices |= {seq * kp + (r + shift) % kp for r in w.positions}
+        assert len(vertices) == k and w.edge == tuple(sorted(vertices))
         assert all(coloring[v] == w.color for v in w.edge)
 
 
