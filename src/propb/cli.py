@@ -5,6 +5,12 @@ analytic bound), bound (sweep over the valid l values of a k), witness
 (monochromatic edge for a coloring), solve (DPLL on the dual CNF), and
 verify-small (exhaustive non-2-colorability check).
 
+gen streams the multiset from iter_edge_chunks, whose part strings are
+rendered once per sequence subset, and prints each chunk with the text
+writer of its format; gen --dedup gives the same writers one edge_line per
+distinct edge.  The edge-tuple entry points write_edge_list and
+write_dual_dimacs wrap the same writers.
+
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
 instances whose shift search, l * seq_len^2 steps, exceeds
@@ -16,8 +22,8 @@ without it the multiset's; the verdict and decisions are the same.  count
 and bound refuse, before printing anything, when an exact edge count they
 would print has more than COUNT_MAX_BITS bits.  A count is at least
 2^(l*l), so when l*l (for bound, k*k) reaches that limit they refuse
-without computing any count; count without --l skips, in the same way,
-every l whose count cannot be the smallest.
+without computing any count; count without --l computes the count of
+only those l whose bracketed log2 count could be the smallest (best_l).
 
 Exit codes: 0 success, also when the reader of stdout closes the pipe
 early; 2 usage or parameter error, including a negative edge cap and an
@@ -39,16 +45,15 @@ from typing import IO, Iterable, Sequence
 from . import counting
 from .construction import (
     DEFAULT_EDGE_CAP,
-    Edge,
     EdgeCapError,
     check_edge_cap,
     distinct_hypergraph,
     edge_line,
-    iter_edges,
-    write_edge_list,
+    iter_edge_chunks,
+    write_edge_list_text,
 )
 from .params import ParameterError, Params, validate_params
-from .satbridge import dpll_satisfiable, hypergraph_to_cnf, write_dual_dimacs
+from .satbridge import dpll_satisfiable, hypergraph_to_cnf, write_dual_dimacs_text
 from .witness import (
     MAX_EXHAUSTIVE_VERTICES,
     ColoringError,
@@ -92,13 +97,14 @@ def _resolve_params(args: argparse.Namespace) -> Params:
 def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     if args.dedup:
-        edges: Iterable[Edge] = distinct_hypergraph(params, args.edge_cap).edges
+        edges = distinct_hypergraph(params, args.edge_cap).edges
         count = len(edges)
+        chunks: Iterable[str] = map(edge_line, edges)
     else:
         count = check_edge_cap(params, args.edge_cap)
-        edges = iter_edges(params)
-    writer = write_edge_list if args.format == "edges" else write_dual_dimacs
-    writer(out, params, edges, count)
+        chunks = iter_edge_chunks(params)
+    writer = write_edge_list_text if args.format == "edges" else write_dual_dimacs_text
+    writer(out, params, chunks, count)
     return EXIT_OK
 
 

@@ -19,16 +19,26 @@ Edges are canonical sorted tuples of 0-based integer vertex encodings
 build_full keeps duplicate edges (the counted multiset), dedup() removes them, and
 distinct_hypergraph builds the distinct edges directly.
 
+iter_edges and iter_edge_chunks share one enumeration loop.  It renders the
+part of each (sequence, block) once per sequence subset, since a shift only
+permutes a sequence's parts, and joins parts into edges with `+`: as tuples
+for iter_edges, as the cached part strings of edge_line for
+iter_edge_chunks, which yields one newline-joined chunk per (head shift
+tuple, last shift) run.
+
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers.
+write_edge_list_text prints it from text chunks; write_edge_list is the
+entry point for edge tuples, rendered one edge_line at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from . import counting
 from .params import Params
@@ -67,38 +77,70 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
-def _subset_edges(params: Params, chosen: tuple[int, ...]) -> Iterator[Edge]:
-    """Edges of one ascending sequence subset, lexicographic: shift tuple major, block minor."""
+def _part_tables(
+    params: Params, chosen: tuple[int, ...], render: Callable[[Sequence[int]], Any], sep: Any
+) -> list[list[list]]:
+    """Per chosen sequence and shift, the part of every block, blocks in combinations order.
+
+    A part, the sorted vertices of one sequence at the shifted positions of
+    a block, is given in `render` form (`tuple` or `edge_line`); a head
+    part, of any sequence but the last, also ends in `sep`, so that plain
+    `+` joins the parts of an edge.  A shift only permutes a sequence's
+    parts, so each part is rendered once and every shift's table refers to
+    the same objects.  The chosen sequences ascend and have disjoint vertex
+    ranges, so the joined parts are already canonically sorted.
+    """
     kp = params.seq_len
     combos = list(itertools.combinations(range(kp), params.block_size))
+    # Block i translated by s + 1 is block step[i] translated by s.
+    index = {block: i for i, block in enumerate(combos)}
+    step = [index[tuple(sorted([(r + 1) % kp for r in block]))] for block in combos]
+    tables = []
+    for i, seq in enumerate(chosen):
+        tail = sep if i < len(chosen) - 1 else render(())
+        per_shift = [[render([seq * kp + r for r in block]) + tail for block in combos]]
+        for _ in range(kp - 1):
+            per_shift.append(list(map(per_shift[-1].__getitem__, step)))
+        tables.append(per_shift)
+    return tables
 
-    # Per sequence and shift, the sorted vertex tuple of every block,
-    # precomputed once; an edge is then just a concatenation.  The chosen
-    # sequences ascend and have disjoint vertex ranges, so the concatenation
-    # is already canonically sorted.
-    pre = []
-    for seq in chosen:
-        base = seq * kp
-        per_shift = []
-        for shift in range(kp):
-            row = [base + (r + shift) % kp for r in range(kp)]
-            per_shift.append([tuple(sorted(row[r] for r in block)) for block in combos])
-        pre.append(per_shift)
 
-    *heads, last = pre
-    for head_parts in itertools.product(*heads):
-        prefix = [()] * len(combos)
-        for part in head_parts:
-            prefix = list(map(tuple.__add__, prefix, part))
-        for part in last:
-            yield from map(tuple.__add__, prefix, part)
+def _subset_runs(
+    params: Params, chosen: tuple[int, ...], render: Callable[[Sequence[int]], Any], sep: Any
+) -> Iterator[Iterator]:
+    """The edges of one ascending sequence subset, one run per (head shift tuple, last shift).
+
+    A run holds the edges of every block, so the runs in order are the
+    subset's edges in order: shift tuple major, block minor.
+    """
+    *heads, last = _part_tables(params, chosen, render, sep)
+    for head_tables in itertools.product(*heads):
+        prefix = [render(())] * len(last[0])
+        for table in head_tables:
+            prefix = list(map(operator.add, prefix, table))
+        for table in last:
+            yield map(operator.add, prefix, table)
+
+
+def _runs(params: Params, render: Callable[[Sequence[int]], Any], sep: Any) -> Iterator[Iterator]:
+    # One generator per subset, so only one subset's tables are alive at a time.
+    for chosen in itertools.combinations(range(params.num_sequences), params.l):
+        yield from _subset_runs(params, chosen, render, sep)
 
 
 def iter_edges(params: Params) -> Iterator[Edge]:
     """All edges of the full construction, streamed in canonical order."""
-    # One generator per subset, so only one subset's tables are alive at a time.
-    for chosen in itertools.combinations(range(params.num_sequences), params.l):
-        yield from _subset_edges(params, chosen)
+    return itertools.chain.from_iterable(_runs(params, tuple, ()))
+
+
+def iter_edge_chunks(params: Params) -> Iterator[str]:
+    """The edge_line of every edge of iter_edges, in order, in newline-joined chunks.
+
+    A chunk is one run of C(seq_len, block_size) lines, with no trailing
+    newline.  Every part is turned into text once per subset, not once per
+    edge.
+    """
+    return map("\n".join, _runs(params, edge_line, " "))
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:
@@ -210,8 +252,19 @@ def edge_line(edge: Edge) -> str:
     return " ".join([str(v + 1) for v in edge])
 
 
+def write_edge_list_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
+    """Stream the edge-list text format from chunks of newline-joined edge lines.
+
+    Each chunk is written as it comes.  `gen --dedup` passes one edge_line
+    per chunk and so holds one line of text at a time; joining its lines
+    first would hold all of them at once, about 2 MB more on (8,2), whose
+    run peaks near 27 MB.  `num_edges` must match the number of lines.
+    """
+    out.write(edge_list_header(params, num_edges) + "\n")
+    for chunk in chunks:
+        out.write(chunk + "\n")
+
+
 def write_edge_list(out: IO[str], params: Params, edges: Iterable[Edge], num_edges: int) -> None:
     """Stream the edge-list text format; `num_edges` must match the iterable."""
-    out.write(edge_list_header(params, num_edges) + "\n")
-    for edge in edges:
-        out.write(edge_line(edge) + "\n")
+    write_edge_list_text(out, params, map(edge_line, edges), num_edges)

@@ -140,14 +140,34 @@ def divisors(k: int) -> list[int]:
     return small + large
 
 
+def _log2_count_range(k: int, l: int) -> tuple[float, float]:
+    """Floats lo <= log2(_edge_count(k, l)) <= hi, without computing the count.
+
+    With r = k/l and n = seq_len = 2^l * r, C(n, r) lies between 2^(nH)/(n+1)
+    and 2^(nH), where nH = n * H(2^-l) = r*l + r*(2^l - 1)*log2(1/(1 - 2^-l))
+    (H the binary entropy).  The other two factors, C(2l-1, l) and n^l, are
+    taken through lgamma and log2.
+    """
+    r = k // l
+    n = 2**l * r
+    x = 2.0**-l  # 0.0 once 2^-l underflows, where the factor below tends to 1
+    factor = -math.log1p(-x) / x * (1 - x) if x else 1.0  # (2^l - 1) * ln(1/(1 - 2^-l))
+    log_binomials = math.lgamma(2 * l) - math.lgamma(l + 1) - math.lgamma(l) + r * factor
+    hi = log_binomials / math.log(2) + r * l + l * math.log2(n)
+    # Widened far beyond the float rounding error, about 1e-15 of the value.
+    margin = 4 + 1e-9 * hi
+    return hi - math.log2(n + 1) - margin, hi + margin
+
+
 def best_l(k: int) -> int:
     """The divisor of k that minimizes the exact edge count; ties go low.
 
     Exact minimization over the valid l values (asymptotically l near log2 k
-    wins, but for small k that is usually l = 1).  Every count is at least
-    seq_len^l >= 2^(l*l), so a divisor with l*l at least the bit length of
-    the l = 1 count cannot win; it is skipped without computing its count.
+    wins, but for small k that is usually l = 1).  Each divisor's log2 count
+    is first bracketed by _log2_count_range, and the count is computed only
+    for the divisors whose lower end does not exceed the smallest upper end:
+    the others cannot win, nor tie.
     """
-    ls = divisors(k)
-    limit = _edge_count(k, 1).bit_length()
-    return min((l for l in ls if l * l < limit), key=lambda l: _edge_count(k, l))
+    ranges = {l: _log2_count_range(k, l) for l in divisors(k)}
+    ceiling = min(hi for _, hi in ranges.values())
+    return min((l for l, (lo, _) in ranges.items() if lo <= ceiling), key=lambda l: _edge_count(k, l))

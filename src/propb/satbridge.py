@@ -232,12 +232,28 @@ def emit_dimacs(cnf: Cnf) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_dual_dimacs_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
+    """Stream the dual CNF as DIMACS from chunks of newline-joined edge lines.
+
+    Each chunk's negated clauses come from the chunk itself, by string
+    replacement, and are interleaved with the plain ones, so each edge gives
+    its all-plain clause, then its all-negated one.  Like
+    write_edge_list_text, it holds one chunk's text at a time, so a caller
+    streaming one edge_line per chunk holds one edge's.  `num_edges` must
+    match the number of lines.
+    """
+    out.write(f"p cnf {params.num_vertices} {2 * num_edges}\n")
+    for chunk in chunks:
+        plain = chunk.split("\n")
+        both = plain * 2
+        both[::2] = plain
+        both[1::2] = ("-" + chunk.replace(" ", " -").replace("\n", "\n-")).split("\n")
+        out.write(" 0\n".join(both) + " 0\n")
+
+
 def write_dual_dimacs(out: IO[str], params: Params, edges: Iterable[Edge], num_edges: int) -> None:
     """Stream the dual CNF as DIMACS; equals emit_dimacs(hypergraph_to_cnf(...)) of the same edges."""
-    out.write(f"p cnf {params.num_vertices} {2 * num_edges}\n")
-    for edge in edges:
-        line = edge_line(edge)
-        out.write(f"{line} 0\n-{line.replace(' ', ' -')} 0\n")
+    write_dual_dimacs_text(out, params, map(edge_line, edges), num_edges)
 
 
 def parse_dimacs(text: str) -> Cnf:

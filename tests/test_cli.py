@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from propb import cli, construction, counting
 from propb.params import validate_params
-from propb.satbridge import parse_dimacs
+from propb.satbridge import emit_dimacs, hypergraph_to_cnf, parse_dimacs
 from propb.witness import random_coloring
 
 
@@ -98,6 +98,50 @@ def test_edge_cap_environment_variable(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "non-negative" in err
+
+
+@pytest.mark.parametrize("k,l", [(2, 1), (3, 1), (2, 2), (4, 2), (3, 3), (6, 2)])
+def test_gen_stdout_equals_the_per_edge_rendering(capsys, k, l):
+    # gen renders parts once per subset and prints whole runs at a time; its
+    # text must still be that of each edge rendered on its own, including
+    # at run boundaries, at the end and for l = 1, where no head part exists.
+    p = validate_params(k, l)
+    lines = [construction.edge_list_header(p, counting.edge_count(p))]
+    lines += map(construction.edge_line, construction.iter_edges(p))
+    code, out, _ = run(capsys, "gen", "--k", str(k), "--l", str(l))
+    assert code == 0 and out == "\n".join(lines) + "\n"
+    code, out, _ = run(capsys, "gen", "--k", str(k), "--l", str(l), "--format", "dimacs")
+    assert code == 0 and out == emit_dimacs(hypergraph_to_cnf(construction.build_full(p)))
+
+
+class _Sha256Sink:
+    """A stdout that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "extra,digest",
+    [
+        ((), "bae165ca4b77fdeb148b96773e53d9b64e94af7e2d39382368220f55b574b916"),
+        (("--format", "dimacs"), "4e972906dcc8631058e03a1033f4921e26782f47bf5db4231a894aaa1de3c0f8"),
+    ],
+    ids=["edges", "dimacs"],
+)
+def test_gen_8_2_stdout_is_pinned(extra, digest):
+    # 31 MB and 80 MB of text, hashed as it is written
+    sink = _Sha256Sink()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["gen", "--k", "8", "--l", "2", *extra]) == 0
+    assert sink.hash.hexdigest() == digest
 
 
 def test_gen_into_a_pipe_closed_early_exits_cleanly():
@@ -199,6 +243,23 @@ def test_count_and_bound_compute_no_count_they_can_rule_out(capsys, monkeypatch)
             "limit of 14000\n"
         )
     assert computed and max(l * l for l in computed) < cli.COUNT_MAX_BITS
+
+
+def test_count_without_l_computes_only_the_counts_that_could_win(capsys, monkeypatch):
+    # Each divisor's log2 count is bracketed first; for k = 100000 only l = 40
+    # can be the smallest, and its 105,727-bit count is refused.
+    computed = []
+    edge_count = counting._edge_count
+
+    def recording(k, l):
+        computed.append(l)
+        return edge_count(k, l)
+
+    monkeypatch.setattr(counting, "_edge_count", recording)
+    code, out, err = run(capsys, "count", "--k", "100000")
+    assert code == 3 and err == ""
+    assert out == "refusing: the exact edge count has 105727 bits, above the printing limit of 14000\n"
+    assert set(computed) == {40}
 
 
 def test_witness_from_file(capsys, tmp_path):

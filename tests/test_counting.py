@@ -204,6 +204,13 @@ def test_best_l_examples():
     assert best_l(4) == 1
 
 
+def test_best_l_equals_the_brute_force_minimum_up_to_300():
+    for k in range(1, 301):
+        counts = {l: edge_count(validate_params(k, l)) for l in divisors(k)}
+        smallest = min(counts.values())
+        assert best_l(k) == min(l for l, count in counts.items() if count == smallest), k
+
+
 @given(st.integers(1, 40))
 def test_best_l_is_the_exact_minimizer(k):
     chosen = best_l(k)
