@@ -6,8 +6,11 @@ monotone, and a 2-coloring is proper for the hypergraph exactly when the
 assignment `variable true iff vertex blue` satisfies the CNF.
 
 The embedded solver is plain DPLL (unit propagation, pure-literal
-elimination, most-occurrences branching) with counter-based state and an
-undo trail; no clause learning.  It is deterministic, complete at desk
+elimination, most-occurrences branching) with no clause learning.  Its
+state is a few big ints over clause indices: the unsatisfied clauses and,
+bit-sliced, each clause's count of literals not yet false; an assignment
+updates them with a handful of bitwise operations, and a backtrack restores
+the snapshot its decision saved.  It is deterministic, complete at desk
 scale, and verifies any model before reporting it.
 """
 
@@ -72,144 +75,141 @@ def assignment_satisfies(cnf: Cnf, assignment: dict[int, bool]) -> bool:
     )
 
 
+def _mask(indices: Iterable[int], size: int) -> int:
+    """The int whose set bits are exactly the given indices, all below size."""
+    buf = bytearray((size + 7) // 8)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class _Dpll:
+    """DPLL over bitmasks of clause indices.
+
+    Bit i of `pos[v]` (`neg[v]`) is set when clause i holds v (-v).  `unsat`
+    holds the clauses with no true literal, and `planes[j]` holds bit j of
+    each clause's count of literals not yet false.  Only unsatisfied
+    clauses' counts are kept current; nothing reads the others.
+    """
+
     def __init__(self, cnf: Cnf):
-        # Duplicate clauses carry no information; solve the distinct set.
-        seen: set[Clause] = set()
-        clauses: list[Clause] = []
-        for clause in cnf.clauses:
-            key = tuple(sorted(clause))
-            if key not in seen:
-                seen.add(key)
-                clauses.append(key)
-        self.nvars = cnf.variable_count
+        # Repeated literals and duplicate clauses carry no information; solve
+        # the distinct set, so each count starts at its clause's true width.
+        clauses = list(dict.fromkeys(tuple(sorted(set(clause))) for clause in cnf.clauses))
+        self.nvars = n = cnf.variable_count
         self.clauses = clauses
         self.decisions = 0
-
-        self.occ: dict[int, list[int]] = {}
+        occ: dict[int, list[int]] = {}
         for ci, clause in enumerate(clauses):
             for lit in clause:
-                self.occ.setdefault(lit, []).append(ci)
-        # Occurrences of each literal among not-yet-satisfied clauses.
-        self.active_occ = {lit: len(indices) for lit, indices in self.occ.items()}
-        self.n_free = [len(clause) for clause in clauses]
-        self.n_sat = [0] * len(clauses)
-        self.sat_clauses = 0
-        self.assign = [0] * (self.nvars + 1)  # 0 free, +1 true, -1 false
+                occ.setdefault(lit, []).append(ci)
+        size = len(clauses)
+        self.pos = [_mask(occ.get(v, ()), size) for v in range(n + 1)]
+        self.neg = [_mask(occ.get(-v, ()), size) for v in range(n + 1)]
+        # A variable's score never exceeds its static occurrence count.
+        self.static = [len(occ.get(v, ())) + len(occ.get(-v, ())) for v in range(n + 1)]
+        widest = max(map(len, clauses), default=0)
+        self.unsat = (1 << size) - 1
+        self.planes = tuple(
+            _mask((ci for ci, clause in enumerate(clauses) if len(clause) >> j & 1), size)
+            for j in range(max(1, widest.bit_length()))
+        )
+        self.value = [0] * (n + 1)  # 0 free, +1 true, -1 false
         self.trail: list[int] = []
 
-    def _set(self, lit: int, unit_queue: list[int]) -> bool:
-        self.assign[abs(lit)] = 1 if lit > 0 else -1
-        self.trail.append(lit)
-        for ci in self.occ.get(lit, ()):
-            self.n_sat[ci] += 1
-            if self.n_sat[ci] == 1:
-                self.sat_clauses += 1
-                for other in self.clauses[ci]:
-                    self.active_occ[other] -= 1
-        ok = True
-        for ci in self.occ.get(-lit, ()):
-            self.n_free[ci] -= 1
-            if self.n_sat[ci] == 0:
-                if self.n_free[ci] == 0:
-                    ok = False
-                elif self.n_free[ci] == 1:
-                    unit_queue.append(ci)
-        return ok
+    def _propagate(self, lit: int) -> int | None:
+        """Make lit true (none if 0), then close under units and lowest pure literals.
 
-    def _unset(self) -> None:
-        lit = self.trail.pop()
-        self.assign[abs(lit)] = 0
-        for ci in self.occ.get(lit, ()):
-            self.n_sat[ci] -= 1
-            if self.n_sat[ci] == 0:
-                self.sat_clauses -= 1
-                for other in self.clauses[ci]:
-                    self.active_occ[other] += 1
-        for ci in self.occ.get(-lit, ()):
-            self.n_free[ci] += 1
-
-    def _find_pure(self) -> int | None:
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] == 0:
-                pos = self.active_occ.get(v, 0)
-                neg = self.active_occ.get(-v, 0)
-                if pos and not neg:
-                    return v
-                if neg and not pos:
-                    return -v
-        return None
-
-    def _propagate(self, lit: int | None, unit_queue: list[int]) -> tuple[bool, int]:
-        """Assign the free literal lit, if any, then units and pures to fixpoint; (ok, trail growth)."""
-        mark = len(self.trail)
-        ok = lit is None or self._set(lit, unit_queue)
-        while ok:
-            while ok and unit_queue:
-                ci = unit_queue.pop()
-                if self.n_sat[ci] > 0 or self.n_free[ci] != 1:
+        Pure literals are taken only once the unit closure is complete, the
+        lowest variable first.  Returns None on a conflict; otherwise the
+        branching variable, with the most occurrences among unsatisfied
+        clauses and the lowest number on a tie, or 0 when none is left.  The
+        pass that finds no pure literal is the one that picks it.
+        """
+        value, pos, neg, static = self.value, self.pos, self.neg, self.static
+        unsat, planes = self.unsat, self.planes
+        while True:
+            if lit:
+                v = abs(lit)
+                value[v] = 1 if lit > 0 else -1
+                self.trail.append(v)
+                true, false = (pos[v], neg[v]) if lit > 0 else (neg[v], pos[v])
+                unsat &= ~true
+                # Subtract one from the count of each unsatisfied clause
+                # that lit falsifies, borrowing up through the planes.
+                borrow = false & unsat
+                if borrow:
+                    sliced = list(planes)
+                    for j, plane in enumerate(sliced):
+                        sliced[j] = plane ^ borrow
+                        borrow &= ~plane
+                        if not borrow:
+                            break
+                    planes = tuple(sliced)
+            high = 0
+            for plane in planes[1:]:
+                high |= plane
+            at_most_one = unsat & ~high
+            if at_most_one & ~planes[0]:
+                return None
+            units = at_most_one & planes[0]
+            if units:
+                ci = (units & -units).bit_length() - 1
+                lit = next(u for u in self.clauses[ci] if not value[abs(u)])
+                continue
+            lit = best = best_score = 0
+            for v in range(1, self.nvars + 1):
+                if value[v]:
                     continue
-                unit = next(lit for lit in self.clauses[ci] if self.assign[abs(lit)] == 0)
-                ok = self._set(unit, unit_queue)
-            if not ok:
-                break
-            pure = self._find_pure()
-            if pure is None:
-                break
-            ok = self._set(pure, unit_queue)
-        unit_queue.clear()
-        return ok, len(self.trail) - mark
-
-    def _undo(self, count: int) -> None:
-        for _ in range(count):
-            self._unset()
-
-    def _pick(self) -> int:
-        best, best_score = 0, 0
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] == 0:
-                score = self.active_occ.get(v, 0) + self.active_occ.get(-v, 0)
-                if score > best_score:
-                    best, best_score = v, score
-        return best
+                plus, minus = pos[v] & unsat, neg[v] & unsat
+                if plus and minus:
+                    if static[v] > best_score:
+                        score = plus.bit_count() + minus.bit_count()
+                        if score > best_score:
+                            best, best_score = v, score
+                elif plus or minus:
+                    lit = v if plus else -v
+                    break
+            if not lit:
+                self.unsat, self.planes = unsat, planes
+                return best
 
     def _search(self) -> bool:
         """Depth-first over decisions, positive literal first, with an explicit stack.
 
         Each stack entry is one open decision: (variable, literal in force,
-        trail growth of its propagation), so depth is bounded by the variable
-        count, not by Python's recursion limit.
+        and the unsat mask, count planes and trail length saved before it).
+        The masks are immutable ints, so a backtrack restores them by
+        reference and undoes only the per-variable values.  Depth is bounded
+        by the variable count, not by Python's recursion limit.
         """
-        stack: list[tuple[int, int, int]] = []
-        ok = True
+        stack: list[tuple[int, int, int, tuple[int, ...], int]] = []
+        branch = self._propagate(0)
         while True:
-            if ok:
-                if self.sat_clauses == len(self.clauses):
-                    return True
-                variable = self._pick()
-                if variable:
-                    self.decisions += 1
-                    ok, grown = self._propagate(variable, [])
-                    stack.append((variable, variable, grown))
-                    continue
+            if branch == 0:
+                return True
+            if branch is not None:
+                self.decisions += 1
+                stack.append((branch, branch, self.unsat, self.planes, len(self.trail)))
+                branch = self._propagate(branch)
+                continue
             # The branch on top failed: undo it and take the other literal,
             # or, when both have failed, backtrack into the decision below.
             while stack:
-                variable, lit, grown = stack.pop()
-                self._undo(grown)
+                variable, lit, self.unsat, self.planes, mark = stack.pop()
+                for v in self.trail[mark:]:
+                    self.value[v] = 0
+                del self.trail[mark:]
                 if lit == variable:
-                    ok, grown = self._propagate(-variable, [])
-                    stack.append((variable, -variable, grown))
+                    stack.append((variable, -variable, self.unsat, self.planes, mark))
+                    branch = self._propagate(-variable)
                     break
             else:
                 return False
 
     def solve(self) -> SolveResult:
-        if any(n == 0 for n in self.n_free):  # empty clause
-            return SolveResult(False, None, 0)
-        ok, _ = self._propagate(None, [ci for ci, n in enumerate(self.n_free) if n == 1])
-        if ok and self._search():
-            model = {v: self.assign[v] > 0 for v in range(1, self.nvars + 1)}
+        if self._search():
+            model = {v: self.value[v] > 0 for v in range(1, self.nvars + 1)}
             return SolveResult(True, model, self.decisions)
         return SolveResult(False, None, self.decisions)
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -389,6 +390,16 @@ def test_solve_output_pinned(capsys, k, l, multiset, distinct):
         code, out, err = run(capsys, "solve", "--k", str(k), "--l", str(l), *flags)
         assert (code, err) == (0, "")
         assert out == f"unsatisfiable (variables = {stats})\n"
+
+
+def test_solve_dedup_6_2_within_budget(capsys):
+    # The largest dual the solver decides in the suite: 8861 decisions.
+    start = time.monotonic()
+    code, out, err = run(capsys, "solve", "--dedup", "--k", "6", "--l", "2")
+    elapsed = time.monotonic() - start
+    assert (code, err) == (0, "")
+    assert out == "unsatisfiable (variables = 36, clauses = 15648, decisions = 8861)\n"
+    assert elapsed < 30.0, f"solve --dedup --k 6 --l 2 took {elapsed:.1f}s"
 
 
 def test_solve_builds_no_multiset(capsys, monkeypatch):

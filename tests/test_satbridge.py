@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -100,6 +101,16 @@ def test_dpll_unsat_on_small_duals():
         assert not dpll_satisfiable(cnf).satisfiable
 
 
+def test_dpll_repeated_literals():
+    # A repeated literal counts once: (1 1) is the unit clause (1).
+    assert not dpll_satisfiable(Cnf(1, ((1, 1), (-1,)))).satisfiable
+    assert not dpll_satisfiable(parse_dimacs("p cnf 1 2\n1 1 0\n-1 0\n")).satisfiable
+    sat = Cnf(2, ((1, 1, -2), (2,)))
+    result = dpll_satisfiable(sat)
+    assert result.satisfiable and result.model == {1: True, 2: True}
+    assert assignment_satisfies(sat, result.model)
+
+
 def test_dpll_agrees_with_truth_table_on_random_cnfs():
     rng = random.Random(2024)
     for _ in range(200):
@@ -116,6 +127,38 @@ def test_dpll_agrees_with_truth_table_on_random_cnfs():
         assert result.satisfiable == expected
         if result.satisfiable:
             assert assignment_satisfies(cnf, result.model)
+
+
+def _golden_cnfs():
+    # Clause widths 1-5 with distinct variables; a third of the CNFs lean
+    # positive, so pure literals and unit clauses both drive the search.
+    rng = random.Random(7)
+    for _ in range(500):
+        nvars = rng.randint(3, 40)
+        narrowest = 1 if rng.random() < 0.3 else 2
+        positive = rng.choice((0.5, 0.5, 0.75))
+        clauses = []
+        for _ in range(rng.randint(2 * nvars, 6 * nvars)):
+            width = min(rng.choice((narrowest, 3, 3, 3, 4, 5)), nvars)
+            variables = rng.sample(range(1, nvars + 1), width)
+            clauses.append(tuple(v if rng.random() < positive else -v for v in variables))
+        yield Cnf(nvars, tuple(clauses))
+
+
+# SHA-256 over (satisfiable, decisions, sorted model) of every golden CNF.
+# It pins the search tree itself: the branching variable, its polarity order
+# and the pure-literal choices, which `solve` reports through its decision
+# count.  The truth-table test above checks only the verdict.
+GOLDEN_DIGEST = "8d913e254ea3a477ff9c2d368445346079d2c7a195c5756b86561eca5bdbec7b"
+
+
+def test_dpll_search_tree_is_pinned():
+    digest = hashlib.sha256()
+    for cnf in _golden_cnfs():
+        result = dpll_satisfiable(cnf)
+        model = sorted(result.model.items()) if result.satisfiable else None
+        digest.update(repr((result.satisfiable, result.decisions, model)).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 def test_dpll_pure_literal_shortcut():
