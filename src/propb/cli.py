@@ -8,8 +8,7 @@ verify-small (exhaustive non-2-colorability check).
 gen streams the multiset from iter_edge_chunks, whose part strings are
 rendered once per sequence subset, and prints each chunk with the text
 writer of its format; gen --dedup gives the same writers one edge_line per
-distinct edge.  The edge-tuple entry points write_edge_list and
-write_dual_dimacs wrap the same writers.
+distinct edge.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
@@ -68,9 +67,11 @@ EXIT_USAGE = 2
 EXIT_SIZE = 3
 EXIT_VERIFY = 4
 
-# witness scans every shift of each chosen sequence against every still
-# passing position: at most l * seq_len^2 steps, about 1.7 s at this limit
-# (k = 1581, l = 1) on a 2-vCPU x86-64 VM.
+# witness compares every shift of each chosen sequence with every still
+# passing position, l * seq_len^2 steps, as l * seq_len ANDs of seq_len-bit
+# ints: about 4 ms at this limit (k = 1581, l = 1) on a 2-vCPU x86-64 VM.
+# The limit stays because its refusal line and exit code are CLI output,
+# and because it bounds the coloring that --seed builds.
 WITNESS_MAX_SHIFT_STEPS = 10**7
 # count and bound print exact edge counts in full.  Decimal conversion takes
 # time quadratic in the length, and CPython refuses ints above 4300 digits

@@ -185,7 +185,7 @@ def _rotations(block: tuple[int, ...], kp: int) -> list[tuple[int, ...]]:
 
 
 def iter_distinct_edges(params: Params) -> Iterator[Edge]:
-    """Every distinct edge of the construction exactly once, subset major, block minor.
+    """Every distinct edge of the construction exactly once, block major, subset minor.
 
     An edge with shifts (s_0, ..., s_{l-1}) and block S equals the one with
     shifts (0, s_1 - s_0, ...) and block S + s_0, and the shifts after the

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .construction import Edge, Hypergraph, edge_line
+from .construction import Hypergraph
 from .params import Params
 from .witness import BLUE, Coloring
 
@@ -240,7 +240,8 @@ def write_dual_dimacs_text(out: IO[str], params: Params, chunks: Iterable[str], 
     its all-plain clause, then its all-negated one.  Like
     write_edge_list_text, it holds one chunk's text at a time, so a caller
     streaming one edge_line per chunk holds one edge's.  `num_edges` must
-    match the number of lines.
+    match the number of lines.  Fed map(edge_line, edges), it prints
+    emit_dimacs(hypergraph_to_cnf(...)) of the same edges.
     """
     out.write(f"p cnf {params.num_vertices} {2 * num_edges}\n")
     for chunk in chunks:
@@ -249,11 +250,6 @@ def write_dual_dimacs_text(out: IO[str], params: Params, chunks: Iterable[str], 
         both[::2] = plain
         both[1::2] = ("-" + chunk.replace(" ", " -").replace("\n", "\n-")).split("\n")
         out.write(" 0\n".join(both) + " 0\n")
-
-
-def write_dual_dimacs(out: IO[str], params: Params, edges: Iterable[Edge], num_edges: int) -> None:
-    """Stream the dual CNF as DIMACS; equals emit_dimacs(hypergraph_to_cnf(...)) of the same edges."""
-    write_dual_dimacs_text(out, params, map(edge_line, edges), num_edges)
 
 
 def parse_dimacs(text: str) -> Cnf:

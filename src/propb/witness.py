@@ -3,10 +3,13 @@
 Pipeline: count colors per sequence (a tie counts as a majority for both
 colors), pick by pigeonhole a color with a majority in at least l of the
 2l-1 sequences, then fix the l cyclic shifts one at a time, each choice
-maximizing the exact conditional expectation of the number of fully
-monochromatic positions.  The expectation starts at >= seq_len / 2^l =
-block_size and never drops, so at the end at least block_size positions are
-monochromatic and the first block_size of them cut out a monochromatic edge.
+maximizing the conditional expectation of the number of fully monochromatic
+positions.  The expectation starts at >= seq_len / 2^l = block_size and
+never drops, so at the end at least block_size positions are monochromatic
+and the first block_size of them cut out a monochromatic edge.  Per step
+the expectation is the number of still passing positions times a constant,
+so the search holds those positions and each sequence's `color` positions
+as one int each and counts the bits of their AND under every rotation.
 
 find_witness checks the edge against the construction arithmetically
 (is_edge), so it builds no hypergraph; monochromatic_witness also checks it
@@ -22,8 +25,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 from .construction import Edge, Hypergraph, is_edge
@@ -112,46 +113,6 @@ def select_same_majority(params: Params, profile: MajorityProfile) -> tuple[str,
     return color, chosen
 
 
-def _color_counts(params: Params, coloring: Coloring, color: str, seqs: Sequence[int]) -> list[int]:
-    kp = params.seq_len
-    return [coloring.count(color, seq * kp, (seq + 1) * kp) for seq in seqs]
-
-
-def conditional_expectation(
-    params: Params,
-    coloring: Coloring,
-    color: str,
-    chosen_seqs: Sequence[int],
-    fixed_shifts: Sequence[int],
-) -> Fraction:
-    """Exact expected number of fully `color` positions, first shifts fixed.
-
-    The remaining shifts are uniform and independent, so position r counts
-    with weight prod(count_t / seq_len) over the unfixed sequences t,
-    provided r passes every fixed shift.
-    """
-    check_coloring(params, coloring)
-    if color not in COLORS:
-        raise ValueError(f"unknown color {color!r}")
-    chosen = tuple(chosen_seqs)
-    j = len(fixed_shifts)
-    if j > len(chosen):
-        raise ValueError(f"{j} fixed shifts for {len(chosen)} chosen sequences")
-    kp = params.seq_len
-    for shift in fixed_shifts:
-        if not (0 <= shift < kp):
-            raise IndexError(f"shift {shift} out of range 0..{kp - 1}")
-
-    fixed = list(zip(chosen, fixed_shifts))
-    passing = sum(
-        1
-        for r in range(kp)
-        if all(coloring[seq * kp + (r + shift) % kp] == color for seq, shift in fixed)
-    )
-    tail = prod(_color_counts(params, coloring, color, chosen[j:]))
-    return Fraction(passing * tail, kp ** (len(chosen) - j))
-
-
 def derandomized_shifts(
     params: Params,
     coloring: Coloring,
@@ -166,35 +127,34 @@ def derandomized_shifts(
     block is the first block_size fully-`color` positions.
     """
     check_coloring(params, coloring)
-    chosen = tuple(chosen_seqs)
     kp = params.seq_len
-    counts = _color_counts(params, coloring, color, chosen)
-    for seq, count in zip(chosen, counts):
-        if 2 * count < kp:
-            raise MajorityError(
-                f"sequence {seq} has only {count}/{kp} vertices of color {color}"
-            )
+    digits = str.maketrans({c: "1" if c == color else "0" for c in COLORS})
 
     # The conditional expectation with shifts i_1..i_j fixed is
     # |passing| * prod(counts[j:]) / kp^(l-j); the tail factor is a positive
     # constant per step, so maximizing |passing| maximizes the expectation.
+    # Bit r of `passing` is set while position r passes every fixed shift,
+    # and bit r of a sequence's `mask` while its position r has `color`.
     shifts: list[int] = []
-    passing = list(range(kp))
-    for seq in chosen:
-        base = seq * kp
-        best_shift, best_passing = 0, -1
-        for shift in range(kp):
-            n = sum(1 for r in passing if coloring[base + (r + shift) % kp] == color)
-            if n > best_passing:
-                best_shift, best_passing = shift, n
-        shifts.append(best_shift)
-        passing = [r for r in passing if coloring[base + (r + best_shift) % kp] == color]
+    passing = (1 << kp) - 1
+    for seq in chosen_seqs:
+        # A sequence outside the universe slices to "" and so has mask 0.
+        mask = int("0" + coloring[seq * kp : (seq + 1) * kp][::-1].translate(digits), 2)
+        count = mask.bit_count()
+        if 2 * count < kp:
+            raise MajorityError(f"sequence {seq} has only {count}/{kp} vertices of color {color}")
+        # Bit r of twice >> s is mask bit (r + s) mod kp: the sequence under shift s.
+        twice = mask << kp | mask
+        best = max(range(kp), key=lambda s: (passing & twice >> s).bit_count())
+        shifts.append(best)
+        passing &= twice >> best
 
-    if len(passing) < params.block_size:
+    if passing.bit_count() < params.block_size:
         raise AssertionError(
-            f"greedy alignment found {len(passing)} positions, need {params.block_size}"
+            f"greedy alignment found {passing.bit_count()} positions, need {params.block_size}"
         )
-    return tuple(shifts), tuple(passing[: params.block_size])
+    block = [r for r in range(kp) if passing >> r & 1][: params.block_size]
+    return tuple(shifts), tuple(block)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ cannot hide in its own oracle.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from propb.params import Params
-from propb.witness import check_coloring
+from propb.witness import COLORS, check_coloring
 
 
 def naive_subset_edges(params: Params, chosen_seqs: Sequence[int]) -> list[tuple[int, ...]]:
@@ -107,3 +109,38 @@ def exhaustive_best_shifts(
         if n > best:
             best_shifts, best = shifts, n
     return best_shifts, best
+
+
+def conditional_expectation(
+    params: Params,
+    coloring: str,
+    color: str,
+    chosen_seqs: Sequence[int],
+    fixed_shifts: Sequence[int],
+) -> Fraction:
+    """Exact expected number of fully `color` positions, first shifts fixed.
+
+    The remaining shifts are uniform and independent, so position r counts
+    with weight prod(count_t / seq_len) over the unfixed sequences t,
+    provided r passes every fixed shift.
+    """
+    check_coloring(params, coloring)
+    if color not in COLORS:
+        raise ValueError(f"unknown color {color!r}")
+    chosen = tuple(chosen_seqs)
+    j = len(fixed_shifts)
+    if j > len(chosen):
+        raise ValueError(f"{j} fixed shifts for {len(chosen)} chosen sequences")
+    kp = params.seq_len
+    for shift in fixed_shifts:
+        if not (0 <= shift < kp):
+            raise IndexError(f"shift {shift} out of range 0..{kp - 1}")
+
+    fixed = list(zip(chosen, fixed_shifts))
+    passing = sum(
+        1
+        for r in range(kp)
+        if all(coloring[seq * kp + (r + shift) % kp] == color for seq, shift in fixed)
+    )
+    tail = prod(coloring.count(color, seq * kp, (seq + 1) * kp) for seq in chosen[j:])
+    return Fraction(passing * tail, kp ** (len(chosen) - j))

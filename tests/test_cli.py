@@ -331,6 +331,18 @@ def test_witness_refuses_a_long_shift_search(capsys, monkeypatch):
     assert "512 steps" in out
 
 
+def test_witness_at_the_real_shift_limit(capsys):
+    # (1581,1): 1 * 3162^2 = 9,998,244 steps, the largest k with l = 1 below the limit
+    code, out, err = run(capsys, "witness", "--k", "1581", "--l", "1", "--seed", "1")
+    assert code == 0 and err == ""
+    assert out.endswith("verified: monochromatic and present in the construction\n")
+    code, out, err = run(capsys, "witness", "--k", "1582", "--l", "1", "--seed", "1")
+    assert code == 3 and err == ""
+    assert out == (
+        "refusing: the shift search takes 10010896 steps, above the witness limit of 10000000\n"
+    )
+
+
 def test_witness_and_count_take_no_edge_cap(capsys, monkeypatch):
     monkeypatch.setenv("PROPB_EDGE_CAP", "not-a-number")
     assert run(capsys, "witness", "--k", "2", "--l", "1", "--seed", "1")[0] == 0

@@ -16,7 +16,7 @@ from propb.satbridge import (
     emit_dimacs,
     hypergraph_to_cnf,
     parse_dimacs,
-    write_dual_dimacs,
+    write_dual_dimacs_text,
 )
 from propb.witness import find_proper_coloring
 
@@ -202,7 +202,9 @@ def test_streaming_writers_share_the_edge_line(pair, dedup_edges):
     h = Hypergraph(validate_params(2, 1), ()) if pair is None else build_full(validate_params(*pair))
     if dedup_edges:
         h = dedup(h)
-    assert _streamed(write_dual_dimacs, h) == emit_dimacs(hypergraph_to_cnf(h))
+    out = io.StringIO()
+    write_dual_dimacs_text(out, h.params, map(edge_line, h.edges), len(h.edges))
+    assert out.getvalue() == emit_dimacs(hypergraph_to_cnf(h))
     lines = _streamed(write_edge_list, h).splitlines()
     assert len(lines) == len(h.edges) + 1
     assert lines[1:] == [edge_line(edge) for edge in h.edges]

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     aligned_positions,
     all_colorings,
+    conditional_expectation,
     exhaustive_best_shifts,
     has_monochromatic_edge,
     max_aligned_by_enumeration,
@@ -18,7 +19,6 @@ from propb.witness import (
     ColoringError,
     MajorityError,
     MajorityProfile,
-    conditional_expectation,
     derandomized_shifts,
     find_proper_coloring,
     find_witness,
@@ -189,7 +189,7 @@ def test_greedy_never_below_guarantee_and_never_above_oracle(k, l):
         tested += 1
 
 
-@pytest.mark.parametrize("k,l", [(2, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("k,l", [(2, 2), (4, 2), (3, 3), (8, 2), (16, 4), (40, 2)])
 def test_greedy_step_dominance(k, l):
     # Each greedy choice maximizes the exact conditional expectation, which
     # therefore never decreases along the prefix chain.
