@@ -430,6 +430,21 @@ def test_verify_small_confirms(capsys):
     assert out == "non-2-colorable: confirmed (4096 colorings checked)\n"
 
 
+def test_verify_small_output_pinned_up_to_24_vertices(capsys):
+    # 2^24 colorings: only a pruned search decides (4,2) within the budget.
+    start = time.monotonic()
+    results = [
+        run(capsys, "verify-small", "--k", "8", "--l", "1"),
+        run(capsys, "verify-small", "--k", "4", "--l", "2"),
+    ]
+    elapsed = time.monotonic() - start
+    assert results == [
+        (0, "non-2-colorable: confirmed (65536 colorings checked)\n", ""),
+        (0, "non-2-colorable: confirmed (16777216 colorings checked)\n", ""),
+    ]
+    assert elapsed < 10.0, f"verify-small (8,1) and (4,2) took {elapsed:.1f}s"
+
+
 def test_verify_small_refuses_large(capsys):
     code, out, _ = run(capsys, "verify-small", "--k", "6", "--l", "2")
     assert code == 3

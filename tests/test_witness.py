@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from helpers import (
     has_monochromatic_edge,
     max_aligned_by_enumeration,
 )
-from propb.construction import build_full, dedup, Hypergraph
-from propb.params import validate_params
+from propb.construction import build_full, dedup, distinct_hypergraph, Hypergraph
+from propb.params import Params, validate_params
+from propb.satbridge import dpll_satisfiable, hypergraph_to_cnf
 from propb.witness import (
     BLUE,
     RED,
@@ -169,6 +171,18 @@ def test_derandomized_shifts_requires_majority():
         derandomized_shifts(p, "RBBB", RED, (0,))
 
 
+def test_derandomized_shifts_rejects_negative_sequences():
+    p = validate_params(2, 2)
+    with pytest.raises(ValueError):
+        derandomized_shifts(p, "BBBBRRRRBBBB", RED, (-2, 1))
+
+
+def test_derandomized_shifts_rejects_repeated_sequences():
+    p = validate_params(2, 2)
+    with pytest.raises(ValueError):
+        derandomized_shifts(p, "BBBBRRRRBBBB", RED, (1, 1))
+
+
 @pytest.mark.parametrize("k,l", [(2, 1), (2, 2), (4, 2), (3, 3)])
 def test_greedy_never_below_guarantee_and_never_above_oracle(k, l):
     p = validate_params(k, l)
@@ -316,3 +330,69 @@ def test_find_proper_coloring_respects_vertex_limit():
     p = validate_params(6, 2)  # 36 vertices
     with pytest.raises(ValueError):
         find_proper_coloring(Hypergraph(p, ()))
+
+
+def test_find_proper_coloring_takes_each_edge_as_its_vertex_set():
+    p = validate_params(1, 1)  # 2 vertices
+    h = Hypergraph(p, ((0, 0, 1),))
+    assert dpll_satisfiable(hypergraph_to_cnf(h)).satisfiable
+    coloring = find_proper_coloring(h)
+    assert coloring is not None and sorted(coloring) == [BLUE, RED]
+
+
+@pytest.mark.parametrize("edge", [(0, 2), (-1, 1)])
+def test_find_proper_coloring_rejects_vertices_outside_the_universe(edge):
+    p = validate_params(1, 1)  # 2 vertices
+    with pytest.raises(ValueError):
+        find_proper_coloring(Hypergraph(p, (edge,)))
+
+
+def _universe(n):
+    return Params(k=1, l=1, seq_len=n, block_size=1)
+
+
+def _proper_exists(n, edges):
+    # An empty edge is monochromatic under every coloring.
+    return all(edges) and any(
+        not has_monochromatic_edge(coloring, edges) for coloring in all_colorings(n)
+    )
+
+
+def test_find_proper_coloring_agrees_with_brute_force():
+    rng = random.Random(2024)
+    cases = [
+        (0, ()),
+        (0, ((),)),
+        (3, ((0, 1), ())),
+        (3, ((1,),)),
+        (3, ((0, 1), (1, 2), (0, 2))),
+        (4, ((0, 1), (1, 2), (0, 2))),
+        (2, ((0, 0, 1),)),
+        (2, ((1, 1),)),
+        (5, ((0, 1, 2), (2, 3, 4), (0, 4))),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        edges = tuple(
+            tuple(rng.choices(range(n), k=rng.randint(1, 4))) for _ in range(rng.randint(0, 14))
+        )
+        cases.append((n, edges))
+    outcomes = set()
+    for n, edges in cases:
+        exists = _proper_exists(n, edges)
+        coloring = find_proper_coloring(Hypergraph(_universe(n), edges))
+        assert (coloring is not None) == exists, (n, edges, coloring)
+        if coloring is not None:
+            assert len(coloring) == n and set(coloring) <= {RED, BLUE}
+            assert not has_monochromatic_edge(coloring, edges), (n, edges, coloring)
+        outcomes.add(exists)
+    assert outcomes == {False, True}
+
+
+def test_find_proper_coloring_confirms_3_3_and_6_2_without_dpll():
+    start = time.monotonic()
+    for k, l in [(3, 3), (6, 2)]:
+        p = validate_params(k, l)  # 40 and 36 vertices
+        assert find_proper_coloring(distinct_hypergraph(p), 40) is None
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"(3,3) and (6,2) took {elapsed:.1f}s"
