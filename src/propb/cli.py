@@ -8,15 +8,15 @@ verify-small (exhaustive non-2-colorability check).
 gen streams the multiset from iter_edge_chunks, whose part strings are
 rendered once per sequence subset, and prints each chunk with the text
 writer of its format; gen --dedup gives the same writers one edge_line per
-distinct edge.
+edge of iter_distinct_edges, with the closed-form count in the header.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
 instances whose shift search, l * seq_len^2 steps, exceeds
-WITNESS_MAX_SHIFT_STEPS.  gen --dedup, solve (with or without --dedup) and
-verify-small build the distinct edges directly, in memory proportional to
-their number, never the multiset; the edge cap still applies to the
-multiset count.  solve --dedup reports the distinct clause count, solve
+WITNESS_MAX_SHIFT_STEPS.  gen --dedup streams the distinct edges; solve
+(with or without --dedup) and verify-small hold them, in memory proportional
+to their number.  None builds the multiset, but the edge cap still applies
+to the multiset count.  solve --dedup reports the distinct clause count, solve
 without it the multiset's; the verdict and decisions are the same.  count
 and bound refuse, before printing anything, when an exact edge count they
 would print has more than COUNT_MAX_BITS bits.  A count is at least
@@ -48,6 +48,7 @@ from .construction import (
     check_edge_cap,
     distinct_hypergraph,
     edge_line,
+    iter_distinct_edges,
     iter_edge_chunks,
     write_edge_list_text,
 )
@@ -97,12 +98,11 @@ def _resolve_params(args: argparse.Namespace) -> Params:
 
 def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
+    count = check_edge_cap(params, args.edge_cap)
     if args.dedup:
-        edges = distinct_hypergraph(params, args.edge_cap).edges
-        count = len(edges)
-        chunks: Iterable[str] = map(edge_line, edges)
+        count = counting.distinct_edge_count(params)
+        chunks: Iterable[str] = map(edge_line, iter_distinct_edges(params))
     else:
-        count = check_edge_cap(params, args.edge_cap)
         chunks = iter_edge_chunks(params)
     writer = write_edge_list_text if args.format == "edges" else write_dual_dimacs_text
     writer(out, params, chunks, count)

@@ -39,6 +39,9 @@ def naive_full_edges(params: Params) -> list[tuple[int, ...]]:
 
 def has_monochromatic_edge(coloring: str, edges: Iterable[tuple[int, ...]]) -> bool:
     for edge in edges:
+        # An empty edge is monochromatic under every coloring.
+        if not edge:
+            return True
         first = coloring[edge[0]]
         if all(coloring[v] == first for v in edge[1:]):
             return True

@@ -134,32 +134,64 @@ class _Sha256Sink:
     [
         ((), "bae165ca4b77fdeb148b96773e53d9b64e94af7e2d39382368220f55b574b916"),
         (("--format", "dimacs"), "4e972906dcc8631058e03a1033f4921e26782f47bf5db4231a894aaa1de3c0f8"),
+        (("--dedup",), "fd1b5e35180023b9804051056dc13d93de528e8ac4e6a0ab3e31c9bcd5363b58"),
+        (
+            ("--dedup", "--format", "dimacs"),
+            "08a0261bf0d37a19052a17c71695a4df97a73a104059f2d363e53268b50781ef",
+        ),
     ],
-    ids=["edges", "dimacs"],
+    ids=["edges", "dimacs", "dedup-edges", "dedup-dimacs"],
 )
 def test_gen_8_2_stdout_is_pinned(extra, digest):
-    # 31 MB and 80 MB of text, hashed as it is written
+    # 31 MB and 80 MB of text for the multiset, hashed as it is written
     sink = _Sha256Sink()
     with contextlib.redirect_stdout(sink):
         assert cli.main(["gen", "--k", "8", "--l", "2", *extra]) == 0
     assert sink.hash.hexdigest() == digest
 
 
-def test_gen_into_a_pipe_closed_early_exits_cleanly():
-    # `propb gen | head -1`: the reader leaves after one line of a 1.5 MB stream
+@pytest.mark.parametrize(
+    "extra,header",
+    [((), b"p hyp 36 95040 6\n"), (("--dedup",), b"p hyp 36 7824 6\n")],
+    ids=["multiset", "dedup"],
+)
+def test_gen_into_a_pipe_closed_early_exits_cleanly(extra, header):
+    # `propb gen | head -1`: the reader leaves after one line of a 1.5 MB
+    # (--dedup: 120 kB) stream
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "propb.cli", "gen", "--k", "6", "--l", "2"],
+        [sys.executable, "-m", "propb.cli", "gen", "--k", "6", "--l", "2", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert proc.stdout.readline() == b"p hyp 36 95040 6\n"
+    assert proc.stdout.readline() == header
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_gen_dedup_streams_without_a_hypergraph(capsys, monkeypatch):
+    args = ("gen", "--dedup", "--k", "4", "--l", "2")
+    _, expected, _ = run(capsys, *args)
+
+    def refuse(*_):
+        raise RuntimeError("gen --dedup must not build the distinct hypergraph")
+
+    monkeypatch.setattr(cli, "distinct_hypergraph", refuse)
+    assert run(capsys, *args) == (0, expected, "")
+
+
+def test_a_distinct_edge_count_mismatch_is_a_verification_failure(capsys, monkeypatch):
+    true_count = counting.distinct_edge_count
+    monkeypatch.setattr(counting, "distinct_edge_count", lambda p: true_count(p) + 1)
+    with pytest.raises(AssertionError):
+        construction.distinct_hypergraph(validate_params(4, 2))
+    code, _, err = run(capsys, "gen", "--dedup", "--k", "4", "--l", "2")
+    assert code == 4
+    assert "verification failure" in err
 
 
 def test_count_output(capsys):

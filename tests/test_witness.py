@@ -352,10 +352,7 @@ def _universe(n):
 
 
 def _proper_exists(n, edges):
-    # An empty edge is monochromatic under every coloring.
-    return all(edges) and any(
-        not has_monochromatic_edge(coloring, edges) for coloring in all_colorings(n)
-    )
+    return any(not has_monochromatic_edge(coloring, edges) for coloring in all_colorings(n))
 
 
 def test_find_proper_coloring_agrees_with_brute_force():
