@@ -5,10 +5,10 @@ analytic bound), bound (sweep over the valid l values of a k), witness
 (monochromatic edge for a coloring), solve (DPLL on the dual CNF), and
 verify-small (exhaustive non-2-colorability check).
 
-gen streams the multiset from iter_edge_chunks, whose part strings are
-rendered once per sequence subset, and prints each chunk with the text
-writer of its format; gen --dedup gives the same writers one edge_line per
-edge of iter_distinct_edges, with the closed-form count in the header.
+gen streams the multiset from iter_edge_chunks, whose parts are rendered
+once per sequence subset by its format's renderer (edge_line_parts or
+dual_clause_parts); gen --dedup renders each edge of iter_distinct_edges
+whole, one per chunk, with the closed-form count in the header.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
@@ -48,12 +48,13 @@ from .construction import (
     check_edge_cap,
     distinct_hypergraph,
     edge_line,
+    edge_line_parts,
     iter_distinct_edges,
     iter_edge_chunks,
     write_edge_list_text,
 )
 from .params import ParameterError, Params, validate_params
-from .satbridge import dpll_satisfiable, hypergraph_to_cnf, write_dual_dimacs_text
+from .satbridge import dpll_satisfiable, dual_clause_parts, hypergraph_to_cnf, write_dual_dimacs_text
 from .witness import (
     MAX_EXHAUSTIVE_VERTICES,
     ColoringError,
@@ -99,11 +100,12 @@ def _resolve_params(args: argparse.Namespace) -> Params:
 def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     count = check_edge_cap(params, args.edge_cap)
+    render = edge_line_parts if args.format == "edges" else dual_clause_parts
     if args.dedup:
         count = counting.distinct_edge_count(params)
-        chunks: Iterable[str] = map(edge_line, iter_distinct_edges(params))
+        chunks: Iterable[str] = ("".join(render(edge, True)) for edge in iter_distinct_edges(params))
     else:
-        chunks = iter_edge_chunks(params)
+        chunks = iter_edge_chunks(params, render)
     writer = write_edge_list_text if args.format == "edges" else write_dual_dimacs_text
     writer(out, params, chunks, count)
     return EXIT_OK

@@ -20,16 +20,17 @@ build_full keeps duplicate edges (the counted multiset), dedup() removes them, a
 distinct_hypergraph holds that stream, already in dedup()'s order.
 
 iter_edges and iter_edge_chunks share one enumeration loop.  It renders the
-part of each (sequence, block) once per sequence subset, since a shift only
-permutes a sequence's parts, and joins parts into edges with `+`: as tuples
-for iter_edges, as the cached part strings of edge_line for
-iter_edge_chunks, which yields one newline-joined chunk per (head shift
-tuple, last shift) run.
+parts of each (sequence, block) once per sequence subset, since a shift only
+permutes a sequence's blocks, and joins parts into edges with `+`: tuples
+for iter_edges, text for iter_edge_chunks, one chunk per (head shift tuple,
+last shift) run.  The renderer picks the text: edge_line_parts gives a
+block one part of an edge line, satbridge.dual_clause_parts two, of the
+edge's plain and negated DIMACS clauses.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers.
-write_edge_list_text prints it from text chunks; write_edge_list is the
-entry point for edge tuples, rendered one edge_line at a time.
+write_edge_list_text prints the header, then text chunks as they come;
+write_edge_list is the entry point for edge tuples.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import counting
 from .params import Params
 
 Edge = tuple[int, ...]
+# render(vertices, last): a block's parts of an edge, see _part_tables.
+Render = Callable[[list[int], bool], tuple]
 
 DEFAULT_EDGE_CAP = 10_000_000
 
@@ -77,18 +80,16 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
-def _part_tables(
-    params: Params, chosen: tuple[int, ...], render: Callable[[Sequence[int]], Any], sep: Any
-) -> list[list[list]]:
-    """Per chosen sequence and shift, the part of every block, blocks in combinations order.
+def _part_tables(params: Params, chosen: Sequence[int], render: Render) -> list[list[list]]:
+    """Per chosen sequence and shift, the parts of every block, blocks in combinations order.
 
-    A part, the sorted vertices of one sequence at the shifted positions of
-    a block, is given in `render` form (`tuple` or `edge_line`); a head
-    part, of any sequence but the last, also ends in `sep`, so that plain
-    `+` joins the parts of an edge.  A shift only permutes a sequence's
-    parts, so each part is rendered once and every shift's table refers to
-    the same objects.  The chosen sequences ascend and have disjoint vertex
-    ranges, so the joined parts are already canonically sorted.
+    `render(vertices, last)` gives the parts of one sequence's sorted
+    vertices at the shifted positions of a block, `last` telling whether no
+    chosen sequence follows; a table interleaves its blocks' parts, so that
+    plain `+` of equal indices joins the parts of an edge.  A shift only
+    permutes a sequence's blocks, so each part is rendered once and every
+    shift's table refers to the same objects.  The chosen sequences ascend
+    and have disjoint vertex ranges, so joined parts are canonically sorted.
     """
     kp = params.seq_len
     combos = list(itertools.combinations(range(kp), params.block_size))
@@ -97,50 +98,61 @@ def _part_tables(
     step = [index[tuple(sorted([(r + 1) % kp for r in block]))] for block in combos]
     tables = []
     for i, seq in enumerate(chosen):
-        tail = sep if i < len(chosen) - 1 else render(())
-        per_shift = [[render([seq * kp + r for r in block]) + tail for block in combos]]
+        last = i == len(chosen) - 1
+        per_shift = [[part for block in combos for part in render([seq * kp + r for r in block], last)]]
+        width = len(per_shift[0]) // len(combos)  # parts per block
+        wide_step = [width * s + j for s in step for j in range(width)]
         for _ in range(kp - 1):
-            per_shift.append(list(map(per_shift[-1].__getitem__, step)))
+            per_shift.append(list(map(per_shift[-1].__getitem__, wide_step)))
         tables.append(per_shift)
     return tables
 
 
-def _subset_runs(
-    params: Params, chosen: tuple[int, ...], render: Callable[[Sequence[int]], Any], sep: Any
-) -> Iterator[Iterator]:
-    """The edges of one ascending sequence subset, one run per (head shift tuple, last shift).
+def _subset_runs(params: Params, chosen: tuple[int, ...], render: Render) -> Iterator[Iterable]:
+    """The parts of one ascending sequence subset's edges, one run per (head shift tuple, last shift).
 
     A run holds the edges of every block, so the runs in order are the
     subset's edges in order: shift tuple major, block minor.
     """
-    *heads, last = _part_tables(params, chosen, render, sep)
-    for head_tables in itertools.product(*heads):
-        prefix = [render(())] * len(last[0])
-        for table in head_tables:
+    *heads, last = _part_tables(params, chosen, render)
+    if not heads:  # l = 1: the parts are whole edges
+        yield from last
+        return
+    for first, *rest in itertools.product(*heads):
+        prefix = first
+        for table in rest:
             prefix = list(map(operator.add, prefix, table))
         for table in last:
             yield map(operator.add, prefix, table)
 
 
-def _runs(params: Params, render: Callable[[Sequence[int]], Any], sep: Any) -> Iterator[Iterator]:
+def _runs(params: Params, render: Render) -> Iterator[Iterable]:
     # One generator per subset, so only one subset's tables are alive at a time.
     for chosen in itertools.combinations(range(params.num_sequences), params.l):
-        yield from _subset_runs(params, chosen, render, sep)
+        yield from _subset_runs(params, chosen, render)
+
+
+def _tuple_parts(vertices: list[int], last: bool) -> tuple[Edge]:
+    return (tuple(vertices),)
 
 
 def iter_edges(params: Params) -> Iterator[Edge]:
     """All edges of the full construction, streamed in canonical order."""
-    return itertools.chain.from_iterable(_runs(params, tuple, ()))
+    return itertools.chain.from_iterable(_runs(params, _tuple_parts))
 
 
-def iter_edge_chunks(params: Params) -> Iterator[str]:
-    """The edge_line of every edge of iter_edges, in order, in newline-joined chunks.
+def edge_line_parts(vertices: Sequence[int], last: bool) -> tuple[str]:
+    """A block's share of an edge_line, ending in a space or, if last, a newline."""
+    return (edge_line(vertices) + ("\n" if last else " "),)
 
-    A chunk is one run of C(seq_len, block_size) lines, with no trailing
-    newline.  Every part is turned into text once per subset, not once per
-    edge.
+
+def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
+    """The text of the edges of iter_edges, in order, C(seq_len, block_size) edges per chunk.
+
+    An edge's text joins its blocks' `render` parts (edge_line_parts: its
+    edge_line and a newline).  Each part is rendered once per subset, not per edge.
     """
-    return map("\n".join, _runs(params, edge_line, " "))
+    return map("".join, _runs(params, render))
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:
@@ -158,7 +170,7 @@ def build_full(params: Params, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Hyper
     disable the guard).
     """
     expected = check_edge_cap(params, edge_cap)
-    edges = tuple(iter_edges(params))
+    edges = tuple(list(iter_edges(params)))  # a list first: see distinct_hypergraph
     if len(edges) != expected:
         raise AssertionError(f"built {len(edges)} edges, formula says {expected}")
     return Hypergraph(params, edges)
@@ -187,7 +199,7 @@ def iter_distinct_edges(params: Params) -> Iterator[Edge]:
     if l == 1:  # no sequence follows the first, so the edges are the untranslated blocks
         tables = [[itertools.combinations(range(kp), params.block_size)]]
     else:  # tables[seq][t][i] is the part on seq of block i translated by t
-        tables = _part_tables(params, tuple(range(n)), tuple, ())
+        tables = _part_tables(params, range(n), _tuple_parts)
     count = 0
     for first in range(n - l + 1):
         for i, head in enumerate(tables[first][0]):
@@ -246,24 +258,24 @@ def edge_list_header(params: Params, num_edges: int) -> str:
     return f"p hyp {params.num_vertices} {num_edges} {params.k}"
 
 
-def edge_line(edge: Edge) -> str:
+def edge_line(edge: Sequence[int]) -> str:
     """An edge as text: space-separated ascending 1-based vertex numbers."""
     return " ".join([str(v + 1) for v in edge])
 
 
 def write_edge_list_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
-    """Stream the edge-list text format from chunks of newline-joined edge lines.
+    """Stream the edge-list text format: the header, then chunks of newline-ended lines.
 
-    Each chunk is written as it comes.  `gen --dedup` passes one edge_line
-    per chunk and so holds one line of text at a time; joining its lines
-    first would hold all of them at once, about 2 MB more on (8,2), whose
-    run peaks near 17 MB.  `num_edges` must match the number of lines.
+    `gen --dedup` passes one line per chunk and so holds one line of text at
+    a time; joining its lines first would hold all of them at once, about
+    2 MB more on (8,2), whose run peaks near 17 MB.  `num_edges` must match
+    the number of lines.
     """
     out.write(edge_list_header(params, num_edges) + "\n")
     for chunk in chunks:
-        out.write(chunk + "\n")
+        out.write(chunk)
 
 
 def write_edge_list(out: IO[str], params: Params, edges: Iterable[Edge], num_edges: int) -> None:
     """Stream the edge-list text format; `num_edges` must match the iterable."""
-    write_edge_list_text(out, params, map(edge_line, edges), num_edges)
+    write_edge_list_text(out, params, (edge_line(edge) + "\n" for edge in edges), num_edges)

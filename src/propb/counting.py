@@ -106,11 +106,16 @@ def distinct_edge_count(params: Params) -> int:
     """
     kp, block = params.seq_len, params.block_size
     exact: dict[int, int] = {}
-    for d in divisors(kp):
+    for d in seq_len_divisors(params):
         fixed = binomial(d, block * d // kp) if block * d % kp == 0 else 0
         exact[d] = fixed - sum(n for e, n in exact.items() if d % e == 0)
     periods = sum(n * d ** (params.l - 1) for d, n in exact.items())
     return binomial(params.num_sequences, params.l) * periods
+
+
+def seq_len_divisors(params: Params) -> list[int]:
+    """divisors(seq_len) from seq_len = 2^l * block_size: trial division of block_size only."""
+    return sorted({2**a * d for a in range(params.l + 1) for d in divisors(params.block_size)})
 
 
 def binomial_upper_bound(n: int, r: int) -> BoundValue:

@@ -3,7 +3,8 @@
 Every edge turns into two clauses over the 1-based vertex numbering: one
 with all variables plain, one with all negated.  The resulting CNF is
 monotone, and a 2-coloring is proper for the hypergraph exactly when the
-assignment `variable true iff vertex blue` satisfies the CNF.
+assignment `variable true iff vertex blue` satisfies the CNF.  gen streams
+its DIMACS text like the edge list, from dual_clause_parts.
 
 The embedded solver is plain DPLL (unit propagation, pure-literal
 elimination, most-occurrences branching) with no clause learning.  Its
@@ -17,9 +18,9 @@ scale, and verifies any model before reporting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
-from .construction import Hypergraph
+from .construction import Hypergraph, edge_line
 from .params import Params
 from .witness import BLUE, Coloring
 
@@ -232,24 +233,25 @@ def emit_dimacs(cnf: Cnf) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dual_dimacs_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
-    """Stream the dual CNF as DIMACS from chunks of newline-joined edge lines.
+def dual_clause_parts(vertices: Sequence[int], last: bool) -> tuple[str, str]:
+    """A block's shares of its edge's two clauses, literals all plain, then all negated.
 
-    Each chunk's negated clauses come from the chunk itself, by string
-    replacement, and are interleaved with the plain ones, so each edge gives
-    its all-plain clause, then its all-negated one.  Like
-    write_edge_list_text, it holds one chunk's text at a time, so a caller
-    streaming one edge_line per chunk holds one edge's.  `num_edges` must
-    match the number of lines.  Fed map(edge_line, edges), it prints
-    emit_dimacs(hypergraph_to_cnf(...)) of the same edges.
+    Each ends in a space or, if last, in the clause's closing ` 0` and newline.
+    """
+    line, tail = edge_line(vertices), " 0\n" if last else " "
+    return line + tail, "-" + line.replace(" ", " -") + tail
+
+
+def write_dual_dimacs_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
+    """Stream the dual CNF as DIMACS: the header, then chunks of whole clauses.
+
+    A chunk holds some edges' clauses, as dual_clause_parts renders them:
+    all-plain, then all-negated, per edge; it then prints
+    emit_dimacs(hypergraph_to_cnf(...)).  `num_edges` must match the edges.
     """
     out.write(f"p cnf {params.num_vertices} {2 * num_edges}\n")
     for chunk in chunks:
-        plain = chunk.split("\n")
-        both = plain * 2
-        both[::2] = plain
-        both[1::2] = ("-" + chunk.replace(" ", " -").replace("\n", "\n-")).split("\n")
-        out.write(" 0\n".join(both) + " 0\n")
+        out.write(chunk)
 
 
 def parse_dimacs(text: str) -> Cnf:

@@ -152,12 +152,16 @@ def test_gen_8_2_stdout_is_pinned(extra, digest):
 
 @pytest.mark.parametrize(
     "extra,header",
-    [((), b"p hyp 36 95040 6\n"), (("--dedup",), b"p hyp 36 7824 6\n")],
-    ids=["multiset", "dedup"],
+    [
+        ((), b"p hyp 36 95040 6\n"),
+        (("--dedup",), b"p hyp 36 7824 6\n"),
+        (("--format", "dimacs"), b"p cnf 36 190080\n"),
+    ],
+    ids=["multiset", "dedup", "dimacs"],
 )
 def test_gen_into_a_pipe_closed_early_exits_cleanly(extra, header):
     # `propb gen | head -1`: the reader leaves after one line of a 1.5 MB
-    # (--dedup: 120 kB) stream
+    # (--dedup: 120 kB; --format dimacs: 4.1 MB) stream
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "propb.cli", "gen", "--k", "6", "--l", "2", *extra],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from propb.counting import (
     edge_count,
     edge_count_upper_bound,
     scientific,
+    seq_len_divisors,
 )
 from propb.params import ParameterError, validate_params
 
@@ -195,6 +197,31 @@ def test_divisors():
     assert divisors(16) == [1, 2, 4, 8, 16]
     with pytest.raises(ParameterError):
         divisors(0)
+
+
+def test_seq_len_divisors_are_the_divisors_of_seq_len():
+    for k in range(1, 41):
+        for l in divisors(k):
+            p = validate_params(k, l)
+            assert seq_len_divisors(p) == divisors(p.seq_len), (k, l)
+
+
+def test_distinct_edge_count_at_l_equals_k_is_fast():
+    # seq_len = 2^64: trial division up to its square root would take minutes.
+    # Every block is a single position, of period seq_len.
+    p = validate_params(64, 64)
+    start = time.perf_counter()
+    count = distinct_edge_count(p)
+    assert time.perf_counter() - start < 1.0
+    assert count == binomial(127, 64) * p.seq_len**64
+
+
+def test_the_exponent_falls_toward_one():
+    # The paper's point: with l = best_l(k), log2 of the edge count per unit of
+    # k shrinks as k grows, staying above 1 (the 2^k factor every count has).
+    exponents = [math.log2(edge_count(validate_params(k, best_l(k)))) / k for k in (2**j for j in range(1, 12))]
+    assert all(a > b for a, b in zip(exponents, exponents[1:])), exponents
+    assert exponents[-1] > 1, exponents
 
 
 def test_best_l_examples():

@@ -13,6 +13,7 @@ from propb.satbridge import (
     assignment_satisfies,
     coloring_to_assignment,
     dpll_satisfiable,
+    dual_clause_parts,
     emit_dimacs,
     hypergraph_to_cnf,
     parse_dimacs,
@@ -202,8 +203,10 @@ def test_streaming_writers_share_the_edge_line(pair, dedup_edges):
     h = Hypergraph(validate_params(2, 1), ()) if pair is None else build_full(validate_params(*pair))
     if dedup_edges:
         h = dedup(h)
+    # One edge per chunk, as gen --dedup streams it: its only block is the last.
     out = io.StringIO()
-    write_dual_dimacs_text(out, h.params, map(edge_line, h.edges), len(h.edges))
+    chunks = ("".join(dual_clause_parts(edge, True)) for edge in h.edges)
+    write_dual_dimacs_text(out, h.params, chunks, len(h.edges))
     assert out.getvalue() == emit_dimacs(hypergraph_to_cnf(h))
     lines = _streamed(write_edge_list, h).splitlines()
     assert len(lines) == len(h.edges) + 1
