@@ -7,8 +7,9 @@ verify-small (exhaustive non-2-colorability check).
 
 gen streams the multiset from iter_edge_chunks, whose parts are rendered
 once per sequence subset by its format's renderer (edge_line_parts or
-dual_clause_parts); gen --dedup renders each edge of iter_distinct_edges
-whole, one per chunk, with the closed-form count in the header.
+dual_clause_parts); gen --dedup streams the distinct edges from
+iter_distinct_chunks with the same renderers, one chunk per (lowest
+sequence, block) group, with the closed-form count in the header.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
@@ -39,7 +40,7 @@ import argparse
 import os
 import random
 import sys
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from . import counting
 from .construction import (
@@ -49,7 +50,7 @@ from .construction import (
     distinct_hypergraph,
     edge_line,
     edge_line_parts,
-    iter_distinct_edges,
+    iter_distinct_chunks,
     iter_edge_chunks,
     write_edge_list_text,
 )
@@ -103,7 +104,7 @@ def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     render = edge_line_parts if args.format == "edges" else dual_clause_parts
     if args.dedup:
         count = counting.distinct_edge_count(params)
-        chunks: Iterable[str] = ("".join(render(edge, True)) for edge in iter_distinct_edges(params))
+        chunks = iter_distinct_chunks(params, render)
     else:
         chunks = iter_edge_chunks(params, render)
     writer = write_edge_list_text if args.format == "edges" else write_dual_dimacs_text

@@ -25,7 +25,11 @@ permutes a sequence's blocks, and joins parts into edges with `+`: tuples
 for iter_edges, text for iter_edge_chunks, one chunk per (head shift tuple,
 last shift) run.  The renderer picks the text: edge_line_parts gives a
 block one part of an edge line, satbridge.dual_clause_parts two, of the
-edge's plain and negated DIMACS clauses.
+edge's plain and negated DIMACS clauses.  iter_distinct_edges and
+iter_distinct_chunks likewise share one engine, which yields the distinct
+edges one (lowest sequence, block) group at a time: the group's head parts,
+rendered once per (sequence, block), and the tails after them, built once
+per translation orbit of the block.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers.
@@ -46,7 +50,7 @@ from .params import Params
 
 Edge = tuple[int, ...]
 # render(vertices, last): a block's parts of an edge, see _part_tables.
-Render = Callable[[list[int], bool], tuple]
+Render = Callable[[Sequence[int], bool], tuple]
 
 DEFAULT_EDGE_CAP = 10_000_000
 
@@ -80,6 +84,15 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
+def _blocks(params: Params) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The blocks in combinations order, and step: block i translated by +1 is block step[i]."""
+    kp = params.seq_len
+    combos = list(itertools.combinations(range(kp), params.block_size))
+    index = {block: i for i, block in enumerate(combos)}
+    step = [index[tuple(sorted([(r + 1) % kp for r in block]))] for block in combos]
+    return combos, step
+
+
 def _part_tables(params: Params, chosen: Sequence[int], render: Render) -> list[list[list]]:
     """Per chosen sequence and shift, the parts of every block, blocks in combinations order.
 
@@ -92,10 +105,7 @@ def _part_tables(params: Params, chosen: Sequence[int], render: Render) -> list[
     and have disjoint vertex ranges, so joined parts are canonically sorted.
     """
     kp = params.seq_len
-    combos = list(itertools.combinations(range(kp), params.block_size))
-    # Block i translated by s + 1 is block step[i] translated by s.
-    index = {block: i for i, block in enumerate(combos)}
-    step = [index[tuple(sorted([(r + 1) % kp for r in block]))] for block in combos]
+    combos, step = _blocks(params)
     tables = []
     for i, seq in enumerate(chosen):
         last = i == len(chosen) - 1
@@ -132,7 +142,7 @@ def _runs(params: Params, render: Render) -> Iterator[Iterable]:
         yield from _subset_runs(params, chosen, render)
 
 
-def _tuple_parts(vertices: list[int], last: bool) -> tuple[Edge]:
+def _tuple_parts(vertices: Sequence[int], last: bool) -> tuple[Edge]:
     return (tuple(vertices),)
 
 
@@ -185,39 +195,118 @@ def dedup(hypergraph: Hypergraph) -> Hypergraph:
     return Hypergraph(hypergraph.params, tuple(sorted(set(hypergraph.edges))))
 
 
+def _orbits(step: list[int]) -> list[list[int]]:
+    """Per block, the sorted indices of its translates: its orbit under step."""
+    orbits: list[list[int]] = [[] for _ in step]
+    for i, orbit in enumerate(orbits):
+        if not orbit:  # i is the lowest block of its orbit
+            orbit.append(i)
+            j = step[i]
+            while j != i:
+                orbit.append(j)
+                j = step[j]
+            orbit.sort()
+            for j in orbit:
+                orbits[j] = orbit
+    return orbits
+
+
+def _tails(orbit: list[int], first: int, inner: dict, final: dict, n: int, l: int) -> list[list]:
+    """Per part j, part j of every way an edge with lowest sequence `first` goes on past it.
+
+    The later parts are translates of one block, whose indices are `orbit`;
+    inner[s][j] and final[s][j] hold part j of each block of sequence s,
+    not last and last.  Tails come in sorted order: sequence, then
+    translate, then the tails past that sequence.
+    """
+    tails = []
+    for j in range(len(inner[first])):
+        # past[s]: the tails past sequence s with `depth` parts to go.
+        past: list[list] = [[] for _ in range(n)]
+        for depth in range(1, l):
+            tables = final if depth == 1 else inner
+            below, past = past, [[] for _ in range(n)]
+            for s in range(n - 1 - depth, first + l - 2 - depth, -1):
+                parts = [tables[s + 1][j][o] for o in orbit]
+                if depth > 1:
+                    parts = [q + t for q in parts for t in below[s + 1]]
+                past[s] = parts + past[s + 1]
+        tails.append(past[first])
+    return tails
+
+
+def _distinct_groups(params: Params, render: Render) -> Iterator[tuple[Sequence, list[list]]]:
+    """The distinct edges in sorted order, one (lowest sequence, block) group at a time.
+
+    A group is `(heads, tails)`, one entry per part that `render` gives a
+    block: edge e of the group joins heads[j] + tails[j][e] over the parts
+    j.  Sorted, an edge is its block S on its lowest sequence, then each
+    later (sequence, translate of S) in turn.  The translates of S are its
+    orbit under step, whose index order is tuple order, so every part is
+    rendered once per (sequence, block) and blocks of one orbit share their
+    tails.  Raises AssertionError at exhaustion unless the groups held
+    distinct_edge_count(params) edges.
+    """
+    kp, n, l = params.seq_len, params.num_sequences, params.l
+    count = 0
+    if l == 1:  # each block of the only sequence is one whole edge
+        no_tail: list[list] = []
+        for block in itertools.combinations(range(kp), params.block_size):
+            count += 1
+            heads = render(block, True)
+            no_tail = no_tail or [[head[:0]] for head in heads]  # one empty tail per part
+            yield heads, no_tail
+    else:
+        combos, step = _blocks(params)
+        orbits = _orbits(step)
+
+        def rendered(seq: int, last: bool) -> list[tuple]:
+            # Per part j, part j of every block of seq.
+            return list(zip(*[render([seq * kp + r for r in block], last) for block in combos]))
+
+        inner = {seq: rendered(seq, False) for seq in range(n - 1)}
+        final = {seq: rendered(seq, True) for seq in range(l - 1, n)}
+        for first in range(n - l + 1):
+            tails_of: dict[int, list[list]] = {}  # by the orbit's lowest block
+            for i, orbit in enumerate(orbits):
+                tails = tails_of.get(orbit[0])
+                if tails is None:
+                    tails = tails_of[orbit[0]] = _tails(orbit, first, inner, final, n, l)
+                count += len(tails[0])
+                yield [heads[i] for heads in inner[first]], tails
+    expected = counting.distinct_edge_count(params)
+    if count != expected:
+        raise AssertionError(f"built {count} distinct edges, formula says {expected}")
+
+
 def iter_distinct_edges(params: Params) -> Iterator[Edge]:
     """Every distinct edge of the construction exactly once, in canonical sorted order.
 
     A distinct edge is a block S on its lowest chosen sequence plus one
-    distinct translate of S on each later one.  Sorted, edges are ordered by
-    that lowest sequence, then S, then each later (sequence, translate) in
-    turn, so each (lowest sequence, block) group is built in order by
-    extending sorted prefixes.  Raises AssertionError at exhaustion unless
-    it yielded distinct_edge_count(params) edges.
+    distinct translate of S on each later one.  Raises AssertionError at
+    exhaustion unless it yielded distinct_edge_count(params) edges.
     """
-    kp, n, l = params.seq_len, params.num_sequences, params.l
-    if l == 1:  # no sequence follows the first, so the edges are the untranslated blocks
-        tables = [[itertools.combinations(range(kp), params.block_size)]]
-    else:  # tables[seq][t][i] is the part on seq of block i translated by t
-        tables = _part_tables(params, range(n), _tuple_parts)
-    count = 0
-    for first in range(n - l + 1):
-        for i, head in enumerate(tables[first][0]):
-            edges = [head]
-            translates = {seq: sorted({t[i] for t in tables[seq]}) for seq in range(first + 1, n)}
-            for _ in range(l - 1):
-                # The next part goes on a sequence after edge[-1] // kp; a prefix with no room dies out.
-                edges = [
-                    edge + part
-                    for edge in edges
-                    for seq in range(edge[-1] // kp + 1, n)
-                    for part in translates[seq]
-                ]
-            count += len(edges)
-            yield from edges
-    expected = counting.distinct_edge_count(params)
-    if count != expected:
-        raise AssertionError(f"built {count} distinct edges, formula says {expected}")
+    for (head,), (tails,) in _distinct_groups(params, _tuple_parts):
+        for tail in tails:
+            yield head + tail
+
+
+def iter_distinct_chunks(params: Params, render: Render) -> Iterator[str]:
+    """The text of iter_distinct_edges' edges, one chunk per (lowest sequence, block) group.
+
+    An edge's text joins its blocks' `render` parts; with several parts per
+    block (dual_clause_parts) the chunk gives each edge's part-0 text, then
+    its part-1 text, and so on.  Raises like iter_distinct_edges.
+    """
+    for heads, tails in _distinct_groups(params, render):
+        if len(tails[0]) == 1:  # every group when l = 1, and only then
+            yield "".join([head + part_tails[0] for head, part_tails in zip(heads, tails)])
+            continue
+        # Edge by edge: heads[0], tails[0][e], heads[1], tails[1][e], ...
+        text = [head for head in heads for _ in (0, 1)] * len(tails[0])
+        for j, part_tails in enumerate(tails):
+            text[2 * j + 1 :: 2 * len(heads)] = part_tails
+        yield "".join(text)
 
 
 def distinct_hypergraph(params: Params, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Hypergraph:
@@ -266,10 +355,9 @@ def edge_line(edge: Sequence[int]) -> str:
 def write_edge_list_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
     """Stream the edge-list text format: the header, then chunks of newline-ended lines.
 
-    `gen --dedup` passes one line per chunk and so holds one line of text at
-    a time; joining its lines first would hold all of them at once, about
-    2 MB more on (8,2), whose run peaks near 17 MB.  `num_edges` must match
-    the number of lines.
+    `gen --dedup` passes one chunk per (lowest sequence, block) group, at
+    most 32 lines on (8,2); joining every line first would hold the whole
+    2 MB text at once.  `num_edges` must match the number of lines.
     """
     out.write(edge_list_header(params, num_edges) + "\n")
     for chunk in chunks:

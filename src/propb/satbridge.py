@@ -1,4 +1,4 @@
-"""Hypergraph/CNF duality, a complete DPLL decider, and DIMACS round-tripping.
+"""Hypergraph/CNF duality, a complete DPLL decider, and the streamed DIMACS dual.
 
 Every edge turns into two clauses over the 1-based vertex numbering: one
 with all variables plain, one with all negated.  The resulting CNF is
@@ -22,13 +22,8 @@ from typing import IO, Iterable, Sequence
 
 from .construction import Hypergraph, edge_line
 from .params import Params
-from .witness import BLUE, Coloring
 
 Clause = tuple[int, ...]
-
-
-class DimacsError(ValueError):
-    """Malformed DIMACS text."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +58,6 @@ def hypergraph_to_cnf(hypergraph: Hypergraph) -> Cnf:
         clauses.append(tuple(v + 1 for v in edge))
         clauses.append(tuple(-(v + 1) for v in edge))
     return Cnf(hypergraph.vertex_count, tuple(clauses))
-
-
-def coloring_to_assignment(coloring: Coloring) -> dict[int, bool]:
-    """Variable i+1 is true iff vertex i is blue."""
-    return {i + 1: c == BLUE for i, c in enumerate(coloring)}
 
 
 def assignment_satisfies(cnf: Cnf, assignment: dict[int, bool]) -> bool:
@@ -225,14 +215,6 @@ def dpll_satisfiable(cnf: Cnf) -> SolveResult:
     return result
 
 
-def emit_dimacs(cnf: Cnf) -> str:
-    """Standard DIMACS text, LF-terminated, clause order preserved."""
-    lines = [f"p cnf {cnf.variable_count} {len(cnf.clauses)}"]
-    for clause in cnf.clauses:
-        lines.append(" ".join([str(lit) for lit in clause] + ["0"]))
-    return "\n".join(lines) + "\n"
-
-
 def dual_clause_parts(vertices: Sequence[int], last: bool) -> tuple[str, str]:
     """A block's shares of its edge's two clauses, literals all plain, then all negated.
 
@@ -246,54 +228,9 @@ def write_dual_dimacs_text(out: IO[str], params: Params, chunks: Iterable[str], 
     """Stream the dual CNF as DIMACS: the header, then chunks of whole clauses.
 
     A chunk holds some edges' clauses, as dual_clause_parts renders them:
-    all-plain, then all-negated, per edge; it then prints
-    emit_dimacs(hypergraph_to_cnf(...)).  `num_edges` must match the edges.
+    all-plain, then all-negated, per edge; it then prints the standard DIMACS
+    text of hypergraph_to_cnf(...).  `num_edges` must match the edges.
     """
     out.write(f"p cnf {params.num_vertices} {2 * num_edges}\n")
     for chunk in chunks:
         out.write(chunk)
-
-
-def parse_dimacs(text: str) -> Cnf:
-    """Read DIMACS CNF, tolerating comment lines and multi-line clauses."""
-    header: tuple[int, int] | None = None
-    clauses: list[Clause] = []
-    pending: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if header is not None:
-                raise DimacsError("duplicate header line")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"bad header {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError as exc:
-                raise DimacsError(f"bad header {line!r}") from exc
-            continue
-        if header is None:
-            raise DimacsError(f"clause line before header: {line!r}")
-        for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError as exc:
-                raise DimacsError(f"bad literal {token!r}") from exc
-            if lit == 0:
-                clauses.append(tuple(pending))
-                pending.clear()
-            else:
-                pending.append(lit)
-    if header is None:
-        raise DimacsError("missing header line")
-    if pending:
-        raise DimacsError("unterminated clause at end of input")
-    variable_count, clause_count = header
-    if len(clauses) != clause_count:
-        raise DimacsError(f"header promises {clause_count} clauses, found {len(clauses)}")
-    try:
-        return Cnf(variable_count, tuple(clauses))
-    except ValueError as exc:
-        raise DimacsError(str(exc)) from exc

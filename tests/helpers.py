@@ -2,7 +2,8 @@
 
 Everything here is written straight from the definitions, with no shared
 code or precomputation tricks, so a bug in an optimized implementation
-cannot hide in its own oracle.
+cannot hide in its own oracle.  That includes a whole-text DIMACS writer
+and the only DIMACS reader, which check the streamed `gen --format dimacs`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from propb.params import Params
-from propb.witness import COLORS, check_coloring
+from propb.satbridge import Clause, Cnf
+from propb.witness import BLUE, COLORS, check_coloring
 
 
 def naive_subset_edges(params: Params, chosen_seqs: Sequence[int]) -> list[tuple[int, ...]]:
@@ -147,3 +149,65 @@ def conditional_expectation(
     )
     tail = prod(coloring.count(color, seq * kp, (seq + 1) * kp) for seq in chosen[j:])
     return Fraction(passing * tail, kp ** (len(chosen) - j))
+
+
+def coloring_to_assignment(coloring: str) -> dict[int, bool]:
+    """Variable i+1 is true iff vertex i is blue."""
+    return {i + 1: c == BLUE for i, c in enumerate(coloring)}
+
+
+def emit_dimacs(cnf: Cnf) -> str:
+    """Standard DIMACS text, LF-terminated, clause order preserved."""
+    lines = [f"p cnf {cnf.variable_count} {len(cnf.clauses)}"]
+    for clause in cnf.clauses:
+        lines.append(" ".join([str(lit) for lit in clause] + ["0"]))
+    return "\n".join(lines) + "\n"
+
+
+class DimacsError(ValueError):
+    """Malformed DIMACS text."""
+
+
+def parse_dimacs(text: str) -> Cnf:
+    """Read DIMACS CNF, tolerating comment lines and multi-line clauses."""
+    header: tuple[int, int] | None = None
+    clauses: list[Clause] = []
+    pending: list[int] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if header is not None:
+                raise DimacsError("duplicate header line")
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise DimacsError(f"bad header {line!r}")
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError as exc:
+                raise DimacsError(f"bad header {line!r}") from exc
+            continue
+        if header is None:
+            raise DimacsError(f"clause line before header: {line!r}")
+        for token in line.split():
+            try:
+                lit = int(token)
+            except ValueError as exc:
+                raise DimacsError(f"bad literal {token!r}") from exc
+            if lit == 0:
+                clauses.append(tuple(pending))
+                pending.clear()
+            else:
+                pending.append(lit)
+    if header is None:
+        raise DimacsError("missing header line")
+    if pending:
+        raise DimacsError("unterminated clause at end of input")
+    variable_count, clause_count = header
+    if len(clauses) != clause_count:
+        raise DimacsError(f"header promises {clause_count} clauses, found {len(clauses)}")
+    try:
+        return Cnf(variable_count, tuple(clauses))
+    except ValueError as exc:
+        raise DimacsError(str(exc)) from exc

@@ -12,9 +12,12 @@ import time
 from helpers import (
     aligned_positions,
     all_colorings,
+    coloring_to_assignment,
+    emit_dimacs,
     exhaustive_best_shifts,
     has_monochromatic_edge,
     max_aligned_by_enumeration,
+    parse_dimacs,
     truth_table_satisfiable,
 )
 from propb import cli
@@ -27,14 +30,7 @@ from propb.counting import (
     edge_count_upper_bound,
 )
 from propb.params import validate_params
-from propb.satbridge import (
-    assignment_satisfies,
-    coloring_to_assignment,
-    dpll_satisfiable,
-    emit_dimacs,
-    hypergraph_to_cnf,
-    parse_dimacs,
-)
+from propb.satbridge import assignment_satisfies, dpll_satisfiable, hypergraph_to_cnf
 from propb.witness import (
     derandomized_shifts,
     find_proper_coloring,

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import emit_dimacs, parse_dimacs
 from propb import cli, construction, counting
 from propb.params import validate_params
-from propb.satbridge import emit_dimacs, hypergraph_to_cnf, parse_dimacs
+from propb.satbridge import hypergraph_to_cnf
 from propb.witness import random_coloring
 
 
@@ -115,6 +117,42 @@ def test_gen_stdout_equals_the_per_edge_rendering(capsys, k, l):
     assert code == 0 and out == emit_dimacs(hypergraph_to_cnf(construction.build_full(p)))
 
 
+@pytest.mark.parametrize("k,l", [(2, 1), (3, 1), (2, 2), (4, 2), (3, 3), (6, 2)])
+def test_gen_dedup_stdout_equals_the_per_edge_rendering(capsys, k, l):
+    # gen --dedup prints one chunk per (lowest sequence, block) group, from
+    # parts shared across a translation orbit; its text must still be that of
+    # each distinct edge rendered on its own, across group boundaries and for l = 1.
+    p = validate_params(k, l)
+    lines = [construction.edge_list_header(p, counting.distinct_edge_count(p))]
+    lines += map(construction.edge_line, construction.iter_distinct_edges(p))
+    code, out, _ = run(capsys, "gen", "--dedup", "--k", str(k), "--l", str(l))
+    assert code == 0 and out == "\n".join(lines) + "\n"
+    code, out, _ = run(capsys, "gen", "--dedup", "--k", str(k), "--l", str(l), "--format", "dimacs")
+    assert code == 0 and out == emit_dimacs(hypergraph_to_cnf(construction.distinct_hypergraph(p)))
+
+
+def test_gen_dedup_4_4_stdout_equals_the_per_edge_rendering():
+    # Depth-4 tails.  The 2.3M distinct edges make 33 MB and 74 MB of text,
+    # so both sides are hashed, never held whole; each clause is written as emit_dimacs writes it.
+    p = validate_params(4, 4)
+    count = counting.distinct_edge_count(p)
+    edges = hashlib.sha256(f"{construction.edge_list_header(p, count)}\n".encode())
+    dimacs = hashlib.sha256(f"p cnf {p.num_vertices} {2 * count}\n".encode())
+    plain = [str(v + 1) for v in range(p.num_vertices)]
+    negated = [str(-(v + 1)) for v in range(p.num_vertices)]
+    stream = construction.iter_distinct_edges(p)
+    while batch := list(itertools.islice(stream, 1 << 16)):
+        lines = [" ".join(map(plain.__getitem__, edge)) for edge in batch]
+        edges.update("".join([line + "\n" for line in lines]).encode())
+        clauses = [" ".join(map(negated.__getitem__, edge)) for edge in batch]
+        dimacs.update("".join([f"{a} 0\n{b} 0\n" for a, b in zip(lines, clauses)]).encode())
+    for extra, expected in (((), edges), (("--format", "dimacs"), dimacs)):
+        sink = _Sha256Sink()
+        with contextlib.redirect_stdout(sink):
+            assert cli.main(["gen", "--dedup", "--k", "4", "--l", "4", "--edge-cap", "36700160", *extra]) == 0
+        assert sink.hash.hexdigest() == expected.hexdigest()
+
+
 class _Sha256Sink:
     """A stdout that keeps only the SHA-256 of what is written to it."""
 
@@ -156,12 +194,13 @@ def test_gen_8_2_stdout_is_pinned(extra, digest):
         ((), b"p hyp 36 95040 6\n"),
         (("--dedup",), b"p hyp 36 7824 6\n"),
         (("--format", "dimacs"), b"p cnf 36 190080\n"),
+        (("--dedup", "--format", "dimacs"), b"p cnf 36 15648\n"),
     ],
-    ids=["multiset", "dedup", "dimacs"],
+    ids=["multiset", "dedup", "dimacs", "dedup-dimacs"],
 )
 def test_gen_into_a_pipe_closed_early_exits_cleanly(extra, header):
     # `propb gen | head -1`: the reader leaves after one line of a 1.5 MB
-    # (--dedup: 120 kB; --format dimacs: 4.1 MB) stream
+    # (--dedup: 120 kB; --format dimacs: 4.1 MB; both: 330 kB) stream
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "propb.cli", "gen", "--k", "6", "--l", "2", *extra],

@@ -4,19 +4,23 @@ import random
 
 import pytest
 
-from helpers import all_colorings, has_monochromatic_edge, truth_table_satisfiable
+from helpers import (
+    DimacsError,
+    all_colorings,
+    coloring_to_assignment,
+    emit_dimacs,
+    has_monochromatic_edge,
+    parse_dimacs,
+    truth_table_satisfiable,
+)
 from propb.construction import Hypergraph, build_full, dedup, edge_line, write_edge_list
 from propb.params import validate_params
 from propb.satbridge import (
     Cnf,
-    DimacsError,
     assignment_satisfies,
-    coloring_to_assignment,
     dpll_satisfiable,
     dual_clause_parts,
-    emit_dimacs,
     hypergraph_to_cnf,
-    parse_dimacs,
     write_dual_dimacs_text,
 )
 from propb.witness import find_proper_coloring
