@@ -29,7 +29,7 @@ edge's plain and negated DIMACS clauses.  iter_distinct_edges and
 iter_distinct_chunks likewise share one engine, which yields the distinct
 edges one (lowest sequence, block) group at a time: the group's head parts,
 rendered once per (sequence, block), and the tails after them, built once
-per translation orbit of the block.
+per translation orbit of the block and held for the whole lowest sequence.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers.
@@ -244,7 +244,7 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[tuple[Sequence,
     later (sequence, translate of S) in turn.  The translates of S are its
     orbit under step, whose index order is tuple order, so every part is
     rendered once per (sequence, block) and blocks of one orbit share their
-    tails.  Raises AssertionError at exhaustion unless the groups held
+    tails, which are kept until the lowest sequence changes.  Raises AssertionError at exhaustion unless the groups held
     distinct_edge_count(params) edges.
     """
     kp, n, l = params.seq_len, params.num_sequences, params.l
@@ -299,9 +299,6 @@ def iter_distinct_chunks(params: Params, render: Render) -> Iterator[str]:
     its part-1 text, and so on.  Raises like iter_distinct_edges.
     """
     for heads, tails in _distinct_groups(params, render):
-        if len(tails[0]) == 1:  # every group when l = 1, and only then
-            yield "".join([head + part_tails[0] for head, part_tails in zip(heads, tails)])
-            continue
         # Edge by edge: heads[0], tails[0][e], heads[1], tails[1][e], ...
         text = [head for head in heads for _ in (0, 1)] * len(tails[0])
         for j, part_tails in enumerate(tails):
@@ -356,8 +353,9 @@ def write_edge_list_text(out: IO[str], params: Params, chunks: Iterable[str], nu
     """Stream the edge-list text format: the header, then chunks of newline-ended lines.
 
     `gen --dedup` passes one chunk per (lowest sequence, block) group, at
-    most 32 lines on (8,2); joining every line first would hold the whole
-    2 MB text at once.  `num_edges` must match the number of lines.
+    most 32 lines on (8,2) but 163,840 on (4,4) DIMACS; joining every line
+    first would hold the whole text at once.  Its engine also holds the
+    tails of every translation orbit for the current lowest sequence.  `num_edges` must match the number of lines.
     """
     out.write(edge_list_header(params, num_edges) + "\n")
     for chunk in chunks:

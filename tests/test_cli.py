@@ -1,7 +1,6 @@
 import contextlib
 import hashlib
 import io
-import itertools
 import os
 import random
 import subprocess
@@ -131,26 +130,22 @@ def test_gen_dedup_stdout_equals_the_per_edge_rendering(capsys, k, l):
     assert code == 0 and out == emit_dimacs(hypergraph_to_cnf(construction.distinct_hypergraph(p)))
 
 
-def test_gen_dedup_4_4_stdout_equals_the_per_edge_rendering():
-    # Depth-4 tails.  The 2.3M distinct edges make 33 MB and 74 MB of text,
-    # so both sides are hashed, never held whole; each clause is written as emit_dimacs writes it.
-    p = validate_params(4, 4)
-    count = counting.distinct_edge_count(p)
-    edges = hashlib.sha256(f"{construction.edge_list_header(p, count)}\n".encode())
-    dimacs = hashlib.sha256(f"p cnf {p.num_vertices} {2 * count}\n".encode())
-    plain = [str(v + 1) for v in range(p.num_vertices)]
-    negated = [str(-(v + 1)) for v in range(p.num_vertices)]
-    stream = construction.iter_distinct_edges(p)
-    while batch := list(itertools.islice(stream, 1 << 16)):
-        lines = [" ".join(map(plain.__getitem__, edge)) for edge in batch]
-        edges.update("".join([line + "\n" for line in lines]).encode())
-        clauses = [" ".join(map(negated.__getitem__, edge)) for edge in batch]
-        dimacs.update("".join([f"{a} 0\n{b} 0\n" for a, b in zip(lines, clauses)]).encode())
-    for extra, expected in (((), edges), (("--format", "dimacs"), dimacs)):
-        sink = _Sha256Sink()
-        with contextlib.redirect_stdout(sink):
-            assert cli.main(["gen", "--dedup", "--k", "4", "--l", "4", "--edge-cap", "36700160", *extra]) == 0
-        assert sink.hash.hexdigest() == expected.hexdigest()
+@pytest.mark.parametrize(
+    "extra,digest",
+    [
+        ((), "aba993bc94cec3db68a269c6711711ac8a9a138209c8c4dae0f171268001f39d"),
+        (("--format", "dimacs"), "b3088f77727a990b61e9f74b505f1b1d86bec2c8276b5506c6cd14c08821575a"),
+    ],
+    ids=["edges", "dimacs"],
+)
+def test_gen_dedup_4_4_stdout_is_pinned(extra, digest):
+    # Tails four sequences deep: 2.3M distinct edges, 33 MB and 74 MB of text,
+    # hashed as it is written.  The digests were taken from the per-edge
+    # rendering of gen --dedup, before it printed one chunk per group.
+    sink = _Sha256Sink()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["gen", "--dedup", "--k", "4", "--l", "4", "--edge-cap", "36700160", *extra]) == 0
+    assert sink.hash.hexdigest() == digest
 
 
 class _Sha256Sink:
