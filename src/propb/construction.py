@@ -244,7 +244,8 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[tuple[Sequence,
     later (sequence, translate of S) in turn.  The translates of S are its
     orbit under step, whose index order is tuple order, so every part is
     rendered once per (sequence, block) and blocks of one orbit share their
-    tails, which are kept until the lowest sequence changes.  Raises AssertionError at exhaustion unless the groups held
+    tails, which are kept until the lowest sequence changes.  Raises
+    AssertionError at exhaustion unless the groups held
     distinct_edge_count(params) edges.
     """
     kp, n, l = params.seq_len, params.num_sequences, params.l
@@ -352,10 +353,11 @@ def edge_line(edge: Sequence[int]) -> str:
 def write_edge_list_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
     """Stream the edge-list text format: the header, then chunks of newline-ended lines.
 
-    `gen --dedup` passes one chunk per (lowest sequence, block) group, at
-    most 32 lines on (8,2) but 163,840 on (4,4) DIMACS; joining every line
-    first would hold the whole text at once.  Its engine also holds the
-    tails of every translation orbit for the current lowest sequence.  `num_edges` must match the number of lines.
+    `gen --dedup` passes one chunk per (lowest sequence, block) group,
+    at most 32 lines on (8,2) but 81,920 on (4,4); joining every line first
+    would hold the whole text at once.  Its engine also holds the tails of
+    every translation orbit for the current lowest sequence.  `num_edges`
+    must match the number of lines.
     """
     out.write(edge_list_header(params, num_edges) + "\n")
     for chunk in chunks:
