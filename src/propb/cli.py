@@ -7,10 +7,13 @@ verify-small (exhaustive non-2-colorability check).
 
 gen streams the multiset from iter_edge_chunks, whose parts are rendered
 once per sequence subset by its format's renderer (edge_line_parts or
-dual_clause_parts); gen --dedup streams the distinct edges from
-iter_distinct_chunks with the same renderers, one chunk per (lowest
-sequence, block) group, with the closed-form count in the header; it holds
-every orbit's tails for the current lowest sequence as strings.
+dual_clause_parts), into the same per-shift tables iter_edges uses; a
+chunk interleaves one shift tuple's tables and joins them once, so it holds
+one subset's tables and one chunk's text at a time.  gen --dedup streams
+the distinct edges from iter_distinct_chunks with the same renderers, one
+chunk per (lowest sequence, block) group, with the closed-form count in the
+header; it holds every orbit's tails for the current lowest sequence as
+strings.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses

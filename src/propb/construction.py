@@ -19,17 +19,19 @@ Edges are canonical sorted tuples of 0-based integer vertex encodings
 build_full keeps duplicate edges (the counted multiset), dedup() removes them, and
 distinct_hypergraph holds that stream, already in dedup()'s order.
 
-iter_edges and iter_edge_chunks share one enumeration loop.  It renders the
-parts of each (sequence, block) once per sequence subset, since a shift only
-permutes a sequence's blocks, and joins parts into edges with `+`: tuples
-for iter_edges, text for iter_edge_chunks, one chunk per (head shift tuple,
-last shift) run.  The renderer picks the text: edge_line_parts gives a
-block one part of an edge line, satbridge.dual_clause_parts two, of the
-edge's plain and negated DIMACS clauses.  iter_distinct_edges and
-iter_distinct_chunks likewise share one engine, which yields the distinct
-edges one (lowest sequence, block) group at a time: the group's head parts,
-rendered once per (sequence, block), and the tails after them, built once
-per translation orbit of the block and held for the whole lowest sequence.
+iter_edges and iter_edge_chunks share _part_tables, which renders the parts
+of each (sequence, block) once per sequence subset, since a shift only
+permutes a sequence's blocks, and walk its shift tuples in the same product
+order.  iter_edges joins the parts into edge tuples with `+`, reusing the
+head sequences' sums across the last shift; iter_edge_chunks interleaves the
+l tables of a shift tuple into one list and joins it once, one chunk per
+shift tuple.  The renderer picks the text: edge_line_parts gives a block one
+part of an edge line, satbridge.dual_clause_parts two, of the edge's plain
+and negated DIMACS clauses.  iter_distinct_edges and iter_distinct_chunks
+likewise share one engine, which yields the distinct edges one (lowest
+sequence, block) group at a time: the group's head parts, rendered once per
+(sequence, block), and the tails after them, built once per translation
+orbit of the block and held for the whole lowest sequence.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers.
@@ -99,10 +101,11 @@ def _part_tables(params: Params, chosen: Sequence[int], render: Render) -> list[
     `render(vertices, last)` gives the parts of one sequence's sorted
     vertices at the shifted positions of a block, `last` telling whether no
     chosen sequence follows; a table interleaves its blocks' parts, so that
-    plain `+` of equal indices joins the parts of an edge.  A shift only
-    permutes a sequence's blocks, so each part is rendered once and every
-    shift's table refers to the same objects.  The chosen sequences ascend
-    and have disjoint vertex ranges, so joined parts are canonically sorted.
+    joining equal indices across one shift tuple's tables gives the parts of
+    an edge.  A shift only permutes a sequence's blocks, so each part is
+    rendered once and every shift's table refers to the same objects.  The
+    chosen sequences ascend and have disjoint vertex ranges, so joined parts
+    are canonically sorted.
     """
     kp = params.seq_len
     combos, step = _blocks(params)
@@ -118,13 +121,17 @@ def _part_tables(params: Params, chosen: Sequence[int], render: Render) -> list[
     return tables
 
 
-def _subset_runs(params: Params, chosen: tuple[int, ...], render: Render) -> Iterator[Iterable]:
-    """The parts of one ascending sequence subset's edges, one run per (head shift tuple, last shift).
+def _tuple_parts(vertices: Sequence[int], last: bool) -> tuple[Edge]:
+    return (tuple(vertices),)
+
+
+def _subset_runs(params: Params, chosen: tuple[int, ...]) -> Iterator[Iterable[Edge]]:
+    """One ascending sequence subset's edges, one run per (head shift tuple, last shift).
 
     A run holds the edges of every block, so the runs in order are the
     subset's edges in order: shift tuple major, block minor.
     """
-    *heads, last = _part_tables(params, chosen, render)
+    *heads, last = _part_tables(params, chosen, _tuple_parts)
     if not heads:  # l = 1: the parts are whole edges
         yield from last
         return
@@ -136,19 +143,15 @@ def _subset_runs(params: Params, chosen: tuple[int, ...], render: Render) -> Ite
             yield map(operator.add, prefix, table)
 
 
-def _runs(params: Params, render: Render) -> Iterator[Iterable]:
+def _by_subset(params: Params, per_subset: Callable[..., Iterator], *args) -> Iterator:
     # One generator per subset, so only one subset's tables are alive at a time.
     for chosen in itertools.combinations(range(params.num_sequences), params.l):
-        yield from _subset_runs(params, chosen, render)
-
-
-def _tuple_parts(vertices: Sequence[int], last: bool) -> tuple[Edge]:
-    return (tuple(vertices),)
+        yield from per_subset(params, chosen, *args)
 
 
 def iter_edges(params: Params) -> Iterator[Edge]:
     """All edges of the full construction, streamed in canonical order."""
-    return itertools.chain.from_iterable(_runs(params, _tuple_parts))
+    return itertools.chain.from_iterable(_by_subset(params, _subset_runs))
 
 
 def edge_line_parts(vertices: Sequence[int], last: bool) -> tuple[str]:
@@ -156,13 +159,30 @@ def edge_line_parts(vertices: Sequence[int], last: bool) -> tuple[str]:
     return (edge_line(vertices) + ("\n" if last else " "),)
 
 
+def _subset_chunks(params: Params, chosen: tuple[int, ...], render: Render) -> Iterator[str]:
+    tables = _part_tables(params, chosen, render)
+    l = len(tables)
+    size = l * len(tables[0][0])
+    for shifts in itertools.product(*tables):
+        # text[i * l + j] is part i of chosen sequence j.  A new list per chunk: one kept
+        # for the whole subset measured 0.1 MB more peak RSS on gen (8,2) DIMACS.
+        text = [""] * size
+        for j, table in enumerate(shifts):
+            text[j::l] = table
+        yield "".join(text)
+
+
 def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
     """The text of the edges of iter_edges, in order, C(seq_len, block_size) edges per chunk.
 
     An edge's text joins its blocks' `render` parts (edge_line_parts: its
-    edge_line and a newline).  Each part is rendered once per subset, not per edge.
+    edge_line and a newline).  Each part is rendered once per subset, not per
+    edge, and a chunk is one shift tuple's l tables of parts interleaved and
+    joined once: with several parts per block (dual_clause_parts) that gives
+    each edge's part-0 text, then its part-1 text.  Only one subset's tables
+    and one chunk's list are alive at a time.
     """
-    return map("".join, _runs(params, render))
+    return _by_subset(params, _subset_chunks, render)
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:

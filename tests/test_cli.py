@@ -184,6 +184,24 @@ def test_gen_8_2_stdout_is_pinned(extra, digest):
 
 
 @pytest.mark.parametrize(
+    "extra,digest",
+    [
+        ((), "0cda213893b338421ebc220ae71fb246e789a310963cab19b2c198910012181f"),
+        (("--format", "dimacs"), "a95574518ab21f0929b14664194cc3818e1cf97c7508699875bb6fb4b79a70f2"),
+    ],
+    ids=["edges", "dimacs"],
+)
+def test_gen_6_3_stdout_is_pinned(extra, digest):
+    # Three sequences per edge, so each chunk interleaves three parts tables.
+    # The digests were taken when every edge's text was built by `+` of its
+    # parts, a path that shares no joining code with the interleave.
+    sink = _Sha256Sink()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["gen", "--k", "6", "--l", "3", *extra]) == 0
+    assert sink.hash.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "extra,header",
     [
         ((), b"p hyp 36 95040 6\n"),

@@ -13,14 +13,17 @@ from propb.construction import (
     dedup,
     distinct_hypergraph,
     edge_line,
+    edge_line_parts,
     edge_list_header,
     is_edge,
     iter_distinct_edges,
+    iter_edge_chunks,
     iter_edges,
     write_edge_list,
 )
 from propb.counting import distinct_edge_count, edge_count
 from propb.params import validate_params
+from propb.satbridge import dual_clause_parts
 
 
 def subset_slices(p):
@@ -244,3 +247,14 @@ def test_build_subset_hypergraph_counts():
     edges = tuple(subset_slices(p)[(0, 2)])
     assert len(edges) == 1792
     assert Hypergraph(p, edges).vertex_count == 24  # full universe even for one subset
+
+
+@pytest.mark.parametrize("k,l", [(2, 1), (4, 2), (3, 3), (6, 2)])
+@pytest.mark.parametrize("render,lines_per_edge", [(edge_line_parts, 1), (dual_clause_parts, 2)])
+def test_edge_chunks_hold_one_shift_tuple_each(k, l, render, lines_per_edge):
+    # One chunk per (sequence subset, shift tuple), so only one chunk's text is held at a time.
+    p = validate_params(k, l)
+    chunks = list(iter_edge_chunks(p, render))
+    assert len(chunks) == math.comb(2 * l - 1, l) * p.seq_len**l
+    blocks = math.comb(p.seq_len, p.block_size)
+    assert {chunk.count("\n") for chunk in chunks} == {lines_per_edge * blocks}
