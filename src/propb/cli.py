@@ -5,15 +5,12 @@ analytic bound), bound (sweep over the valid l values of a k), witness
 (monochromatic edge for a coloring), solve (DPLL on the dual CNF), and
 verify-small (exhaustive non-2-colorability check).
 
-gen streams the multiset from iter_edge_chunks, whose parts are rendered
-once per sequence subset by its format's renderer (edge_line_parts or
-dual_clause_parts), into the same per-shift tables iter_edges uses; a
-chunk interleaves one shift tuple's tables and joins them once, so it holds
-one subset's tables and one chunk's text at a time.  gen --dedup streams
-the distinct edges from iter_distinct_chunks with the same renderers, one
-chunk per (lowest sequence, block) group, with the closed-form count in the
-header; it holds every orbit's tails for the current lowest sequence as
-strings.
+gen takes its renderer and header line from one format table, FORMATS:
+it writes the header, with the multiset count or, for --dedup, the
+closed-form distinct count, then the chunks of iter_edge_chunks or
+iter_distinct_chunks.  Besides one chunk, it holds one sequence subset's
+part tables, or for --dedup the later columns of every translation orbit
+for the current lowest sequence, as references to parts rendered once.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
@@ -32,7 +29,8 @@ only those l whose bracketed log2 count could be the smallest (best_l).
 Exit codes: 0 success, also when the reader of stdout closes the pipe
 early; 2 usage or parameter error, including a negative edge cap and an
 unreadable coloring file; 3 size refusal (edge cap, exhaustive-search
-limit, witness shift-search limit or exact-count printing limit); 4
+limit, witness shift-search limit or exact-count printing limit; an
+edge-cap refusal gives a count past that limit in bits); 4
 verification failure, which would mean a bug in the construction.  The
 default edge cap of gen, solve and verify-small can be overridden with
 --edge-cap or the PROPB_EDGE_CAP environment variable.
@@ -54,12 +52,13 @@ from .construction import (
     distinct_hypergraph,
     edge_line,
     edge_line_parts,
+    edge_list_header,
     iter_distinct_chunks,
     iter_edge_chunks,
-    write_edge_list_text,
 )
+from .counting import COUNT_MAX_BITS
 from .params import ParameterError, Params, validate_params
-from .satbridge import dpll_satisfiable, dual_clause_parts, hypergraph_to_cnf, write_dual_dimacs_text
+from .satbridge import dpll_satisfiable, dual_clause_parts, dual_dimacs_header, hypergraph_to_cnf
 from .witness import (
     MAX_EXHAUSTIVE_VERTICES,
     ColoringError,
@@ -80,11 +79,9 @@ EXIT_VERIFY = 4
 # The limit stays because its refusal line and exit code are CLI output,
 # and because it bounds the coloring that --seed builds.
 WITNESS_MAX_SHIFT_STEPS = 10**7
-# count and bound print exact edge counts in full.  Decimal conversion takes
-# time quadratic in the length, and CPython refuses ints above 4300 digits
-# (about 14,284 bits) by default; a fixed limit in bits keeps the output the
-# same on every Python version.
-COUNT_MAX_BITS = 14_000
+# gen's text formats: the renderer of a block's parts of an edge, and the
+# header line for a number of edges.
+FORMATS = {"edges": (edge_line_parts, edge_list_header), "dimacs": (dual_clause_parts, dual_dimacs_header)}
 
 
 def _default_edge_cap() -> int:
@@ -105,14 +102,14 @@ def _resolve_params(args: argparse.Namespace) -> Params:
 def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     count = check_edge_cap(params, args.edge_cap)
-    render = edge_line_parts if args.format == "edges" else dual_clause_parts
+    render, header = FORMATS[args.format]
     if args.dedup:
         count = counting.distinct_edge_count(params)
         chunks = iter_distinct_chunks(params, render)
     else:
         chunks = iter_edge_chunks(params, render)
-    writer = write_edge_list_text if args.format == "edges" else write_dual_dimacs_text
-    writer(out, params, chunks, count)
+    out.write(header(params, count) + "\n")
+    out.writelines(chunks)
     return EXIT_OK
 
 
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit the construction as an edge list or DIMACS CNF")
     add_common(p_gen)
-    p_gen.add_argument("--format", choices=("edges", "dimacs"), default="edges")
+    p_gen.add_argument("--format", choices=FORMATS, default="edges")
     p_gen.add_argument("--dedup", action="store_true", help="emit distinct edges only")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -19,24 +19,23 @@ Edges are canonical sorted tuples of 0-based integer vertex encodings
 build_full keeps duplicate edges (the counted multiset), dedup() removes them, and
 distinct_hypergraph holds that stream, already in dedup()'s order.
 
-iter_edges and iter_edge_chunks share _part_tables, which renders the parts
-of each (sequence, block) once per sequence subset, since a shift only
-permutes a sequence's blocks, and walk its shift tuples in the same product
-order.  iter_edges joins the parts into edge tuples with `+`, reusing the
-head sequences' sums across the last shift; iter_edge_chunks interleaves the
-l tables of a shift tuple into one list and joins it once, one chunk per
-shift tuple.  The renderer picks the text: edge_line_parts gives a block one
-part of an edge line, satbridge.dual_clause_parts two, of the edge's plain
-and negated DIMACS clauses.  iter_distinct_edges and iter_distinct_chunks
-likewise share one engine, which yields the distinct edges one (lowest
-sequence, block) group at a time: the group's head parts, rendered once per
-(sequence, block), and the tails after them, built once per translation
-orbit of the block and held for the whole lowest sequence.
+Both engines yield groups of one shape: a list of part columns, column c
+holding, edge by edge, the `render` parts of each edge's c-th chosen
+sequence (_tuple_parts: its vertex tuple; edge_line_parts: its share of an
+edge line; satbridge.dual_clause_parts: its shares of the plain and the
+negated DIMACS clause).  _join adds a group's columns into edge tuples, for
+iter_edges and iter_distinct_edges; _interleave joins part i of each column
+in turn into one chunk of text, for iter_edge_chunks and
+iter_distinct_chunks.  The multiset engine, _groups, yields one group per
+(sequence subset, shift tuple): its l tables from _part_tables.  The
+distinct engine, _distinct_groups, yields one per (lowest sequence, block):
+the head's parts repeated, then the later columns, built once per
+translation orbit of the block as references to parts rendered once per
+(sequence, block).
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
-then one edge per line as space-separated ascending 1-based vertex numbers.
-write_edge_list_text prints the header, then text chunks as they come;
-write_edge_list is the entry point for edge tuples.
+then one edge per line as space-separated ascending 1-based vertex numbers;
+write_edge_list writes it from edge tuples.
 """
 
 from __future__ import annotations
@@ -61,7 +60,9 @@ class EdgeCapError(RuntimeError):
     """Refused to build: the edge multiset would exceed the configured cap."""
 
     def __init__(self, expected: int, cap: int):
-        super().__init__(f"construction would emit {expected} edges, above the cap of {cap}")
+        bits = expected.bit_length()
+        amount = expected if bits <= counting.COUNT_MAX_BITS else f"a {bits}-bit number of"
+        super().__init__(f"construction would emit {amount} edges, above the cap of {cap}")
         self.expected = expected
         self.cap = cap
 
@@ -125,33 +126,43 @@ def _tuple_parts(vertices: Sequence[int], last: bool) -> tuple[Edge]:
     return (tuple(vertices),)
 
 
-def _subset_runs(params: Params, chosen: tuple[int, ...]) -> Iterator[Iterable[Edge]]:
-    """One ascending sequence subset's edges, one run per (head shift tuple, last shift).
+def _groups(params: Params, render: Render) -> Iterator[Sequence[list]]:
+    """The multiset's edges in order, one group per (sequence subset, shift tuple).
 
-    A run holds the edges of every block, so the runs in order are the
-    subset's edges in order: shift tuple major, block minor.
+    A group is the shift tuple's l tables from _part_tables, one column per
+    chosen sequence, every block an edge: subsets in lexicographic order,
+    then shift tuple major, block minor.
     """
-    *heads, last = _part_tables(params, chosen, _tuple_parts)
-    if not heads:  # l = 1: the parts are whole edges
-        yield from last
-        return
-    for first, *rest in itertools.product(*heads):
-        prefix = first
-        for table in rest:
-            prefix = list(map(operator.add, prefix, table))
-        for table in last:
-            yield map(operator.add, prefix, table)
-
-
-def _by_subset(params: Params, per_subset: Callable[..., Iterator], *args) -> Iterator:
-    # One generator per subset, so only one subset's tables are alive at a time.
     for chosen in itertools.combinations(range(params.num_sequences), params.l):
-        yield from per_subset(params, chosen, *args)
+        # Bound to no name, and the callers' map holds no group between calls,
+        # so only one subset's tables are alive at a time.
+        yield from itertools.product(*_part_tables(params, chosen, render))
+
+
+def _join(columns: Sequence[list]) -> Iterable[Edge]:
+    """A group's edges as tuples: the parts of its columns added edge by edge."""
+    edges = columns[0]
+    for column in columns[1:]:
+        edges = map(operator.add, edges, column)
+    return edges
+
+
+def _interleave(columns: Sequence[list]) -> str:
+    """A group's text: part i of every column in turn, for each i, joined once.
+
+    With several parts per block (dual_clause_parts) that gives each edge's
+    part-0 text, then its part-1 text.
+    """
+    l = len(columns)
+    text = [""] * (l * len(columns[0]))
+    for c, column in enumerate(columns):
+        text[c::l] = column
+    return "".join(text)
 
 
 def iter_edges(params: Params) -> Iterator[Edge]:
     """All edges of the full construction, streamed in canonical order."""
-    return itertools.chain.from_iterable(_by_subset(params, _subset_runs))
+    return itertools.chain.from_iterable(map(_join, _groups(params, _tuple_parts)))
 
 
 def edge_line_parts(vertices: Sequence[int], last: bool) -> tuple[str]:
@@ -159,30 +170,14 @@ def edge_line_parts(vertices: Sequence[int], last: bool) -> tuple[str]:
     return (edge_line(vertices) + ("\n" if last else " "),)
 
 
-def _subset_chunks(params: Params, chosen: tuple[int, ...], render: Render) -> Iterator[str]:
-    tables = _part_tables(params, chosen, render)
-    l = len(tables)
-    size = l * len(tables[0][0])
-    for shifts in itertools.product(*tables):
-        # text[i * l + j] is part i of chosen sequence j.  A new list per chunk: one kept
-        # for the whole subset measured 0.1 MB more peak RSS on gen (8,2) DIMACS.
-        text = [""] * size
-        for j, table in enumerate(shifts):
-            text[j::l] = table
-        yield "".join(text)
-
-
 def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
     """The text of the edges of iter_edges, in order, C(seq_len, block_size) edges per chunk.
 
     An edge's text joins its blocks' `render` parts (edge_line_parts: its
-    edge_line and a newline).  Each part is rendered once per subset, not per
-    edge, and a chunk is one shift tuple's l tables of parts interleaved and
-    joined once: with several parts per block (dual_clause_parts) that gives
-    each edge's part-0 text, then its part-1 text.  Only one subset's tables
-    and one chunk's list are alive at a time.
+    edge_line and a newline); a chunk is one (sequence subset, shift tuple)
+    group.  Only one subset's tables and one chunk are alive at a time.
     """
-    return _by_subset(params, _subset_chunks, render)
+    return map(_interleave, _groups(params, render))
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:
@@ -231,70 +226,64 @@ def _orbits(step: list[int]) -> list[list[int]]:
     return orbits
 
 
-def _tails(orbit: list[int], first: int, inner: dict, final: dict, n: int, l: int) -> list[list]:
-    """Per part j, part j of every way an edge with lowest sequence `first` goes on past it.
+def _later_columns(orbit: list[int], first: int, inner: dict, final: dict, width: int, n: int, l: int) -> list[list]:
+    """The later columns of the edges whose head is a block of `orbit` on sequence `first`.
 
-    The later parts are translates of one block, whose indices are `orbit`;
-    inner[s][j] and final[s][j] hold part j of each block of sequence s,
-    not last and last.  Tails come in sorted order: sequence, then
-    translate, then the tails past that sequence.
+    Sorted, such an edge goes on with a later sequence and a translate of
+    its head block, one of `orbit`, then one of the ways to go on past that
+    sequence.  inner[s] and final[s] hold the `width` parts of each block of
+    sequence s in turn, not last and last; the columns only refer to them.
     """
-    tails = []
-    for j in range(len(inner[first])):
-        # past[s]: the tails past sequence s with `depth` parts to go.
-        past: list[list] = [[] for _ in range(n)]
-        for depth in range(1, l):
-            tables = final if depth == 1 else inner
-            below, past = past, [[] for _ in range(n)]
-            for s in range(n - 1 - depth, first + l - 2 - depth, -1):
-                parts = [tables[s + 1][j][o] for o in orbit]
-                if depth > 1:
-                    parts = [q + t for q in parts for t in below[s + 1]]
-                past[s] = parts + past[s + 1]
-        tails.append(past[first])
-    return tails
+    # past[s]: the columns of the ways to go on past sequence s with `depth` sequences to go.
+    past: list[list[list]] = [[] for _ in range(n)]
+    for depth in range(1, l):
+        tables = final if depth == 1 else inner
+        below, past = past, [[[] for _ in range(depth)] for _ in range(n)]
+        for s in range(n - 1 - depth, first + l - 2 - depth, -1):
+            table = tables[s + 1]
+            ways = len(below[s + 1][0]) // width if depth > 1 else 1
+            columns = [[part for o in orbit for part in table[o * width : (o + 1) * width] * ways]]
+            columns += [column * len(orbit) for column in below[s + 1]]
+            past[s] = [mine + rest for mine, rest in zip(columns, past[s + 1])]
+    return past[first]
 
 
-def _distinct_groups(params: Params, render: Render) -> Iterator[tuple[Sequence, list[list]]]:
-    """The distinct edges in sorted order, one (lowest sequence, block) group at a time.
+def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
+    """The distinct edges in sorted order, one group per (lowest sequence, block).
 
-    A group is `(heads, tails)`, one entry per part that `render` gives a
-    block: edge e of the group joins heads[j] + tails[j][e] over the parts
-    j.  Sorted, an edge is its block S on its lowest sequence, then each
-    later (sequence, translate of S) in turn.  The translates of S are its
-    orbit under step, whose index order is tuple order, so every part is
-    rendered once per (sequence, block) and blocks of one orbit share their
-    tails, which are kept until the lowest sequence changes.  Raises
-    AssertionError at exhaustion unless the groups held
+    Sorted, an edge is its block S on its lowest sequence, then each later
+    (sequence, translate of S) in turn.  The translates of S are its orbit
+    under step, whose index order is tuple order, so every part is rendered
+    once per (sequence, block) and the blocks of one orbit share their
+    later columns, which are kept until the lowest sequence changes.
+    Raises AssertionError at exhaustion unless the groups held
     distinct_edge_count(params) edges.
     """
     kp, n, l = params.seq_len, params.num_sequences, params.l
     count = 0
     if l == 1:  # each block of the only sequence is one whole edge
-        no_tail: list[list] = []
         for block in itertools.combinations(range(kp), params.block_size):
             count += 1
-            heads = render(block, True)
-            no_tail = no_tail or [[head[:0]] for head in heads]  # one empty tail per part
-            yield heads, no_tail
+            yield [render(block, True)]
     else:
         combos, step = _blocks(params)
         orbits = _orbits(step)
 
-        def rendered(seq: int, last: bool) -> list[tuple]:
-            # Per part j, part j of every block of seq.
-            return list(zip(*[render([seq * kp + r for r in block], last) for block in combos]))
+        def rendered(seq: int, last: bool) -> list:
+            return [part for block in combos for part in render([seq * kp + r for r in block], last)]
 
         inner = {seq: rendered(seq, False) for seq in range(n - 1)}
         final = {seq: rendered(seq, True) for seq in range(l - 1, n)}
+        width = len(inner[0]) // len(combos)  # parts per block
         for first in range(n - l + 1):
-            tails_of: dict[int, list[list]] = {}  # by the orbit's lowest block
+            later_of: dict[int, list[list]] = {}  # by the orbit's lowest block
             for i, orbit in enumerate(orbits):
-                tails = tails_of.get(orbit[0])
-                if tails is None:
-                    tails = tails_of[orbit[0]] = _tails(orbit, first, inner, final, n, l)
-                count += len(tails[0])
-                yield [heads[i] for heads in inner[first]], tails
+                later = later_of.get(orbit[0])
+                if later is None:
+                    later = later_of[orbit[0]] = _later_columns(orbit, first, inner, final, width, n, l)
+                edges = len(later[0]) // width
+                count += edges
+                yield [inner[first][i * width : (i + 1) * width] * edges, *later]
     expected = counting.distinct_edge_count(params)
     if count != expected:
         raise AssertionError(f"built {count} distinct edges, formula says {expected}")
@@ -307,24 +296,16 @@ def iter_distinct_edges(params: Params) -> Iterator[Edge]:
     distinct translate of S on each later one.  Raises AssertionError at
     exhaustion unless it yielded distinct_edge_count(params) edges.
     """
-    for (head,), (tails,) in _distinct_groups(params, _tuple_parts):
-        for tail in tails:
-            yield head + tail
+    return itertools.chain.from_iterable(map(_join, _distinct_groups(params, _tuple_parts)))
 
 
 def iter_distinct_chunks(params: Params, render: Render) -> Iterator[str]:
     """The text of iter_distinct_edges' edges, one chunk per (lowest sequence, block) group.
 
-    An edge's text joins its blocks' `render` parts; with several parts per
-    block (dual_clause_parts) the chunk gives each edge's part-0 text, then
-    its part-1 text, and so on.  Raises like iter_distinct_edges.
+    An edge's text joins its blocks' `render` parts.  Raises like
+    iter_distinct_edges.
     """
-    for heads, tails in _distinct_groups(params, render):
-        # Edge by edge: heads[0], tails[0][e], heads[1], tails[1][e], ...
-        text = [head for head in heads for _ in (0, 1)] * len(tails[0])
-        for j, part_tails in enumerate(tails):
-            text[2 * j + 1 :: 2 * len(heads)] = part_tails
-        yield "".join(text)
+    return map(_interleave, _distinct_groups(params, render))
 
 
 def distinct_hypergraph(params: Params, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Hypergraph:
@@ -370,20 +351,7 @@ def edge_line(edge: Sequence[int]) -> str:
     return " ".join([str(v + 1) for v in edge])
 
 
-def write_edge_list_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
-    """Stream the edge-list text format: the header, then chunks of newline-ended lines.
-
-    `gen --dedup` passes one chunk per (lowest sequence, block) group,
-    at most 32 lines on (8,2) but 81,920 on (4,4); joining every line first
-    would hold the whole text at once.  Its engine also holds the tails of
-    every translation orbit for the current lowest sequence.  `num_edges`
-    must match the number of lines.
-    """
-    out.write(edge_list_header(params, num_edges) + "\n")
-    for chunk in chunks:
-        out.write(chunk)
-
-
 def write_edge_list(out: IO[str], params: Params, edges: Iterable[Edge], num_edges: int) -> None:
     """Stream the edge-list text format; `num_edges` must match the iterable."""
-    write_edge_list_text(out, params, (edge_line(edge) + "\n" for edge in edges), num_edges)
+    out.write(edge_list_header(params, num_edges) + "\n")
+    out.writelines(edge_line(edge) + "\n" for edge in edges)

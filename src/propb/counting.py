@@ -29,6 +29,11 @@ def _e_enclosure(terms: int = 40) -> tuple[Fraction, Fraction]:
 
 E_LOWER, E_UPPER = _e_enclosure()
 
+# The largest exact count printed in full.  Decimal conversion takes quadratic
+# time, and CPython refuses ints above 4300 digits (about 14,284 bits) by
+# default; a limit in bits keeps the output the same on every Python version.
+COUNT_MAX_BITS = 14_000
+
 
 @dataclass(frozen=True)
 class BoundValue:

@@ -3,8 +3,9 @@
 Every edge turns into two clauses over the 1-based vertex numbering: one
 with all variables plain, one with all negated.  The resulting CNF is
 monotone, and a 2-coloring is proper for the hypergraph exactly when the
-assignment `variable true iff vertex blue` satisfies the CNF.  gen streams
-its DIMACS text like the edge list, from dual_clause_parts.
+assignment `variable true iff vertex blue` satisfies the CNF.  gen prints
+the dual as DIMACS like the edge list: dual_dimacs_header, then chunks
+whose blocks' parts come from dual_clause_parts.
 
 The embedded solver is plain DPLL (unit propagation, pure-literal
 elimination, most-occurrences branching) with no clause learning.  Its
@@ -18,7 +19,7 @@ scale, and verifies any model before reporting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .construction import Hypergraph, edge_line
 from .params import Params
@@ -224,13 +225,6 @@ def dual_clause_parts(vertices: Sequence[int], last: bool) -> tuple[str, str]:
     return line + tail, "-" + line.replace(" ", " -") + tail
 
 
-def write_dual_dimacs_text(out: IO[str], params: Params, chunks: Iterable[str], num_edges: int) -> None:
-    """Stream the dual CNF as DIMACS: the header, then chunks of whole clauses.
-
-    A chunk holds some edges' clauses, as dual_clause_parts renders them:
-    all-plain, then all-negated, per edge; it then prints the standard DIMACS
-    text of hypergraph_to_cnf(...).  `num_edges` must match the edges.
-    """
-    out.write(f"p cnf {params.num_vertices} {2 * num_edges}\n")
-    for chunk in chunks:
-        out.write(chunk)
+def dual_dimacs_header(params: Params, num_edges: int) -> str:
+    """The DIMACS problem line of the dual of `num_edges` edges: two clauses per edge."""
+    return f"p cnf {params.num_vertices} {2 * num_edges}"

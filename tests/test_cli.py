@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -87,6 +88,14 @@ def test_gen_cap_flag(capsys):
     assert err.startswith("error:") and "non-negative" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_an_edge_cap_refusal_past_the_printing_limit_gives_the_bit_count(capsys, command):
+    # C(14400, 7200) * 14400 edges has more than 4300 decimal digits.
+    code, out, err = run(capsys, command, "--k", "7200", "--l", "1", "--edge-cap", "10000000")
+    assert (code, out) == (3, "")
+    assert err == "error: construction would emit a 14407-bit number of edges, above the cap of 10000000\n"
+
+
 def test_edge_cap_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("PROPB_EDGE_CAP", "5")
     code, _, _ = run(capsys, "gen", "--k", "2", "--l", "1")
@@ -148,7 +157,19 @@ def test_gen_dedup_4_4_stdout_is_pinned(extra, digest):
     assert sink.hash.hexdigest() == digest
 
 
-class _Sha256Sink:
+def test_distinct_edge_tuples_at_l_4_match_gen_dedup():
+    # The tuple view adds each edge's four columns with `+`, gen interleaves
+    # them as text; the first 200,000 edges span three groups, whose later
+    # columns are three sequences deep.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gen", "--dedup", "--k", "4", "--l", "4", "--edge-cap", "36700160"]) == 0
+    lines = out.getvalue().split("\n", 200_001)[1:200_001]
+    edges = itertools.islice(construction.iter_distinct_edges(validate_params(4, 4)), 200_000)
+    assert list(map(construction.edge_line, edges)) == lines
+
+
+class _Sha256Sink(io.TextIOBase):
     """A stdout that keeps only the SHA-256 of what is written to it."""
 
     def __init__(self):
@@ -584,6 +605,9 @@ def fuzz_argv(draw):
 @example((["bound", "--k", "4096"], b""))
 # best_l must reject a non-positive k before it computes the l = 1 count.
 @example((["count", "--k", "-3"], b""))
+# An edge-cap refusal whose multiset count is past the 4300-digit limit.
+@example((["gen", "--k", "7200", "--l", "1"], b""))
+@example((["solve", "--k", "7200", "--l", "1"], b""))
 @example((["witness", "--k", "2", "--l", "1", "--coloring", "random bytes"], "RRBÉ".encode()))
 @example((["witness", "--k", "2", "--l", "1", "--coloring", "directory"], b""))
 def test_cli_fuzz_exit_codes(case):

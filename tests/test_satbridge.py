@@ -20,8 +20,8 @@ from propb.satbridge import (
     assignment_satisfies,
     dpll_satisfiable,
     dual_clause_parts,
+    dual_dimacs_header,
     hypergraph_to_cnf,
-    write_dual_dimacs_text,
 )
 from propb.witness import find_proper_coloring
 
@@ -207,10 +207,11 @@ def test_streaming_writers_share_the_edge_line(pair, dedup_edges):
     h = Hypergraph(validate_params(2, 1), ()) if pair is None else build_full(validate_params(*pair))
     if dedup_edges:
         h = dedup(h)
-    # One edge per chunk, as gen --dedup streams it: its only block is the last.
+    # One edge per chunk, its only block the last, written as gen writes its chunks.
     out = io.StringIO()
     chunks = ("".join(dual_clause_parts(edge, True)) for edge in h.edges)
-    write_dual_dimacs_text(out, h.params, chunks, len(h.edges))
+    out.write(dual_dimacs_header(h.params, len(h.edges)) + "\n")
+    out.writelines(chunks)
     assert out.getvalue() == emit_dimacs(hypergraph_to_cnf(h))
     lines = _streamed(write_edge_list, h).splitlines()
     assert len(lines) == len(h.edges) + 1
