@@ -30,10 +30,11 @@ Exit codes: 0 success, also when the reader of stdout closes the pipe
 early; 2 usage or parameter error, including a negative edge cap and an
 unreadable coloring file; 3 size refusal (edge cap, exhaustive-search
 limit, witness shift-search limit or exact-count printing limit; an
-edge-cap refusal gives a count past that limit in bits); 4
-verification failure, which would mean a bug in the construction.  The
-default edge cap of gen, solve and verify-small can be overridden with
---edge-cap or the PROPB_EDGE_CAP environment variable.
+edge-cap refusal gives a count past that limit in bits, and one past twice
+it as "more than 2^N", uncomputed); 4 verification failure, which would
+mean a bug in the construction.  The default edge cap of gen, solve and
+verify-small can be overridden with --edge-cap or the PROPB_EDGE_CAP
+environment variable.
 """
 
 from __future__ import annotations
@@ -113,22 +114,23 @@ def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _refuse_count(out: IO[str], bits: str) -> int:
-    out.write(
-        f"refusing: the exact edge count has {bits} bits, above the printing "
-        f"limit of {COUNT_MAX_BITS}\n"
-    )
+def _refuse(out: IO[str], reason: str) -> int:
+    out.write(f"refusing: {reason}\n")
     return EXIT_SIZE
+
+
+def _too_long(bits: int | str) -> str:
+    return f"the exact edge count has {bits} bits, above the printing limit of {COUNT_MAX_BITS}"
 
 
 def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     # The count is at least seq_len^l >= 2^(l*l): refuse before computing it.
     if params.l * params.l >= COUNT_MAX_BITS:
-        return _refuse_count(out, f"more than {params.l * params.l}")
+        return _refuse(out, _too_long(f"more than {params.l * params.l}"))
     count = counting.edge_count(params)
     if count.bit_length() > COUNT_MAX_BITS:
-        return _refuse_count(out, str(count.bit_length()))
+        return _refuse(out, _too_long(count.bit_length()))
     bound = counting.edge_count_upper_bound(params.k, params.l)
     verdict = "yes" if bound.certifies_at_most(count) else "NO"
     out.write(f"k = {params.k}, l = {params.l}, vertices = {params.num_vertices}\n")
@@ -144,12 +146,12 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
         raise ParameterError(f"k must be positive, got {k}")
     # The l = k row's count is at least 2^(k*k), as in cmd_count.
     if k * k >= COUNT_MAX_BITS:
-        return _refuse_count(out, f"more than {k * k}")
+        return _refuse(out, _too_long(f"more than {k * k}"))
     rows = [validate_params(k, l) for l in counting.divisors(k)]
     counts = [counting.edge_count(params) for params in rows]
     longest = max(counts)
     if longest.bit_length() > COUNT_MAX_BITS:
-        return _refuse_count(out, str(longest.bit_length()))
+        return _refuse(out, _too_long(longest.bit_length()))
     out.write(f"{'l':>4} {'seq_len':>8} {'edge_count':>16} {'upper_bound':>13} {'ok':>3}\n")
     failures = 0
     for params, count in zip(rows, counts):
@@ -166,11 +168,9 @@ def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     steps = params.l * params.seq_len**2
     if steps > WITNESS_MAX_SHIFT_STEPS:
-        out.write(
-            f"refusing: the shift search takes {steps} steps, above the witness limit "
-            f"of {WITNESS_MAX_SHIFT_STEPS}\n"
+        return _refuse(
+            out, f"the shift search takes {steps} steps, above the witness limit of {WITNESS_MAX_SHIFT_STEPS}"
         )
-        return EXIT_SIZE
     if args.coloring is not None:
         try:
             with open(args.coloring, "r", encoding="ascii") as handle:
@@ -211,11 +211,9 @@ def cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
 def cmd_verify_small(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     if params.num_vertices > MAX_EXHAUSTIVE_VERTICES:
-        out.write(
-            f"refusing: {params.num_vertices} vertices exceed the exhaustive limit "
-            f"of {MAX_EXHAUSTIVE_VERTICES}\n"
+        return _refuse(
+            out, f"{params.num_vertices} vertices exceed the exhaustive limit of {MAX_EXHAUSTIVE_VERTICES}"
         )
-        return EXIT_SIZE
     proper = find_proper_coloring(distinct_hypergraph(params, args.edge_cap))
     checked = 2**params.num_vertices
     if proper is None:
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser(
-        "verify-small", help="exhaustively check non-2-colorability (vertex count <= 26)"
+        "verify-small", help=f"exhaustively check non-2-colorability (vertex count <= {MAX_EXHAUSTIVE_VERTICES})"
     )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify_small)

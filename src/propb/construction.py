@@ -57,10 +57,10 @@ DEFAULT_EDGE_CAP = 10_000_000
 
 
 class EdgeCapError(RuntimeError):
-    """Refused to build: the edge multiset would exceed the configured cap."""
+    """Refused to build: `expected` edges (or "more than 2^N", uncomputed) would exceed the cap."""
 
-    def __init__(self, expected: int, cap: int):
-        bits = expected.bit_length()
+    def __init__(self, expected: int | str, cap: int):
+        bits = expected.bit_length() if isinstance(expected, int) else 0
         amount = expected if bits <= counting.COUNT_MAX_BITS else f"a {bits}-bit number of"
         super().__init__(f"construction would emit {amount} edges, above the cap of {cap}")
         self.expected = expected
@@ -181,7 +181,13 @@ def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:
-    """edge_count(params), or EdgeCapError when it exceeds edge_cap (None: no cap)."""
+    """edge_count(params), or EdgeCapError when it exceeds edge_cap (None: no cap).
+
+    Refused uncomputed when its log2 bracket starts past the cap and 2 * COUNT_MAX_BITS.
+    """
+    lower = int(counting._log2_count_range(params.k, params.l)[0])
+    if edge_cap is not None and lower > max(edge_cap.bit_length(), 2 * counting.COUNT_MAX_BITS):
+        raise EdgeCapError(f"more than 2^{lower}", edge_cap)
     expected = counting.edge_count(params)
     if edge_cap is not None and expected > edge_cap:
         raise EdgeCapError(expected, edge_cap)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 
 from .params import ParameterError, Params, validate_params
@@ -56,26 +57,14 @@ def scientific(value: Fraction) -> str:
     The float path is kept for byte identity with earlier output: at a
     decimal tie the float's rounding error decides, so 6523/40 prints
     1.6307e+02 where exact rounding half to even gives 1.6308e+02.  Past the
-    float range (about 1.8e308) the digits come from exact integer
-    arithmetic, rounded half to even, instead of an OverflowError.
+    float range (about 1.8e308) one decimal division, correctly rounded to 5
+    digits half to even, gives them instead of an OverflowError.
     """
     try:
         return f"{float(value):.4e}"
     except OverflowError:
-        pass
-    # 10^exponent <= whole < 10^(exponent + 1), found without str(whole),
-    # which CPython refuses for ints above 4300 digits.
-    whole = math.floor(value)
-    exponent = math.floor((whole.bit_length() - 1) * math.log10(2))
-    while 10**exponent > whole:
-        exponent -= 1
-    while 10 ** (exponent + 1) <= whole:
-        exponent += 1
-    digits = round(value / Fraction(10) ** (exponent - 4))
-    if digits == 10**5:
-        digits, exponent = digits // 10, exponent + 1
-    text = str(digits)
-    return f"{text[0]}.{text[1:]}e{exponent:+03d}"
+        context = Context(prec=5, Emax=MAX_EMAX)
+        return f"{context.divide(Decimal(value.numerator), Decimal(value.denominator)):.4e}"
 
 
 def binomial(n: int, r: int) -> int:

@@ -209,9 +209,9 @@ def find_proper_coloring(
     """A proper 2-coloring of `hypergraph`, or None if it has none.
 
     Depth-first search that colors vertices 0, 1, 2, ... in order.  The
-    distinct edges are numbered by their highest vertex, so closing[v], the
-    edges whose highest vertex is v, is a run of bits.  inc[u] holds the
-    edges that contain u, so an edge acts as its vertex set even where a
+    distinct edges are numbered in a stable sort by their highest vertex,
+    and closing[v] holds the edges whose highest vertex is v.  inc[u] holds
+    the edges that contain u, so an edge acts as its vertex set even where a
     vertex repeats.  A node carries the edges touched by a red vertex and
     those touched by a blue one.  Coloring v red makes an edge of
     closing[v] monochromatic exactly when no blue vertex touches it, since
@@ -229,27 +229,19 @@ def find_proper_coloring(
     n = hypergraph.vertex_count
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceed the exhaustive-search limit of {max_vertices}")
-    by_top: list[list[Edge]] = [[] for _ in range(n)]
-    has_empty = False
-    for edge in dict.fromkeys(hypergraph.edges):
-        if not edge:
-            has_empty = True
-        elif min(edge) < 0 or max(edge) >= n:
+    edges = list(dict.fromkeys(hypergraph.edges))
+    for edge in edges:
+        if edge and (min(edge) < 0 or max(edge) >= n):
             raise ValueError(f"edge {edge} has a vertex outside range({n})")
-        else:
-            by_top[max(edge)].append(edge)
-    if has_empty:
+    if not all(edges):
         return None
-    size = sum(map(len, by_top))
-    inc_bytes = [bytearray((size + 7) // 8) for _ in range(n)]
-    closing = []
-    i = 0
-    for bucket in by_top:
-        closing.append(((1 << len(bucket)) - 1) << i)
-        for edge in bucket:
-            for u in edge:
-                inc_bytes[u][i >> 3] |= 1 << (i & 7)
-            i += 1
+    edges.sort(key=max)
+    inc_bytes = [bytearray((len(edges) + 7) // 8) for _ in range(n)]
+    closing = [0] * n
+    for i, edge in enumerate(edges):
+        closing[max(edge)] |= 1 << i
+        for u in edge:
+            inc_bytes[u][i >> 3] |= 1 << (i & 7)
     inc = [int.from_bytes(b, "little") for b in inc_bytes]
 
     # (next vertex, edges touched by red, edges touched by blue, blue vertices)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import floor, log10, prod
 from typing import Iterable, Iterator, Sequence
 
 from propb.params import Params
@@ -48,6 +48,23 @@ def has_monochromatic_edge(coloring: str, edges: Iterable[tuple[int, ...]]) -> b
         if all(coloring[v] == first for v in edge[1:]):
             return True
     return False
+
+
+def scientific_by_integers(value: Fraction) -> str:
+    """`value` >= 1 in `.4e` notation, rounded half to even, by integer arithmetic alone."""
+    # 10^exponent <= whole < 10^(exponent + 1), found without str(whole),
+    # which CPython refuses for ints above 4300 digits.
+    whole = floor(value)
+    exponent = floor((whole.bit_length() - 1) * log10(2))
+    while 10**exponent > whole:
+        exponent -= 1
+    while 10 ** (exponent + 1) <= whole:
+        exponent += 1
+    digits = round(value / Fraction(10) ** (exponent - 4))
+    if digits == 10**5:
+        digits, exponent = digits // 10, exponent + 1
+    text = str(digits)
+    return f"{text[0]}.{text[1:]}e{exponent:+03d}"
 
 
 def all_colorings(num_vertices: int) -> Iterator[str]:

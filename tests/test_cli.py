@@ -96,6 +96,16 @@ def test_an_edge_cap_refusal_past_the_printing_limit_gives_the_bit_count(capsys,
     assert err == "error: construction would emit a 14407-bit number of edges, above the cap of 10000000\n"
 
 
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_a_hopeless_edge_cap_refusal_computes_no_count(capsys, command):
+    # About 3.2 million bits: the exact count alone would take minutes.
+    start = time.monotonic()
+    code, out, err = run(capsys, command, "--k", "1600000", "--l", "1")
+    assert time.monotonic() - start < 5
+    assert (code, out) == (3, "")
+    assert err == "error: construction would emit more than 2^3199995 edges, above the cap of 10000000\n"
+
+
 def test_edge_cap_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("PROPB_EDGE_CAP", "5")
     code, _, _ = run(capsys, "gen", "--k", "2", "--l", "1")
@@ -309,6 +319,20 @@ def test_bounds_past_the_float_range(capsys):
     assert code == 0
     assert "upper bound = 2.9876e+518\n" in out
     assert out.endswith("count <= bound: yes\n")
+
+
+def test_bound_refuses_a_row_too_long_to_print_below_the_k_squared_shortcut(capsys):
+    # 118 * 118 = 13,924 bits is under the limit, the l = 118 count is not.
+    code, out, err = run(capsys, "bound", "--k", "118")
+    assert (code, err) == (3, "")
+    assert out == "refusing: the exact edge count has 14273 bits, above the printing limit of 14000\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-200"])
+def test_bound_rejects_a_k_below_one_before_the_k_squared_shortcut(capsys, k):
+    code, out, err = run(capsys, "bound", "--k", k)
+    assert (code, out) == (2, "")
+    assert err == f"error: k must be positive, got {k}\n"
 
 
 def test_counts_too_long_to_print_are_refused(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from propb.counting import (
     scientific,
     seq_len_divisors,
 )
+from helpers import scientific_by_integers
 from propb.params import ParameterError, validate_params
 
 
@@ -124,6 +125,28 @@ def test_scientific_matches_float_formatting_and_goes_past_it():
             expected = format(Decimal(value.numerator) / Decimal(value.denominator), ".4e")
         assert scientific(value) == expected
     assert scientific(Fraction(999_995 * 10**400)) == "1.0000e+406"
+
+
+# Past the float range (about 1.8e308), against the integer algorithm that
+# printed these figures before: quotients of random size, ...
+@given(st.integers(1, 2**64), st.integers(1, 2**64), st.integers(1100, 40_000))
+def test_scientific_past_the_float_range_matches_integer_rounding(numerator, denominator, shift):
+    value = Fraction(numerator << shift, denominator)
+    assert scientific(value) == scientific_by_integers(value)
+
+
+# ... exact ties m * 10^e with m ending in 5, rounded half to even, and
+# carries such as 999_995 * 10^e that round up to the next power of ten.
+@given(
+    st.one_of(
+        st.integers(10**4, 10**5 - 1).map(lambda m: 10 * m + 5),
+        st.sampled_from([99_995, 999_995, 999_985, 9_999_950, 10**6 - 1]),
+    ),
+    st.integers(309, 5000),
+)
+def test_scientific_rounds_ties_and_carries_past_the_float_range_as_integers_do(mantissa, exponent):
+    value = Fraction(mantissa * 10**exponent)
+    assert scientific(value) == scientific_by_integers(value)
 
 
 def test_e_enclosure_is_tight_and_correct():

@@ -347,6 +347,12 @@ def test_find_proper_coloring_rejects_vertices_outside_the_universe(edge):
         find_proper_coloring(Hypergraph(p, (edge,)))
 
 
+def test_find_proper_coloring_checks_every_vertex_before_an_empty_edge_decides():
+    p = validate_params(1, 1)  # 2 vertices
+    with pytest.raises(ValueError):
+        find_proper_coloring(Hypergraph(p, ((), (0, 5))))
+
+
 def _universe(n):
     return Params(k=1, l=1, seq_len=n, block_size=1)
 
