@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -67,7 +66,6 @@ class EdgeCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """An edge multiset over the fixed vertex universe of `params`.
 
@@ -75,8 +73,9 @@ class Hypergraph:
     touch only a subset of the sequences, so vertex numbering is stable.
     """
 
-    params: Params
-    edges: tuple[Edge, ...]
+    def __init__(self, params: Params, edges: tuple[Edge, ...]):
+        self.params = params
+        self.edges = edges
 
     @property
     def vertex_count(self) -> int:

@@ -4,31 +4,37 @@ Counts are arbitrary-precision integers, never floats.  Bounds involve the
 constant e, so they are returned as rational enclosures (BoundValue): the
 upper end is safe when a bound is used as a size estimate, the lower end is
 the one to compare against when certifying `quantity <= bound`, so a check
-can never pass through rounding alone.
+can never pass through rounding alone.  e itself is enclosed by
+e_enclosure(), computed on its first call: fractions is imported only there
+and decimal only by scientific past the float range, so no caller that
+computes no bound loads either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from decimal import MAX_EMAX, Context, Decimal
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .params import ParameterError, Params, validate_params
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-def _e_enclosure(terms: int = 40) -> tuple[Fraction, Fraction]:
-    # Partial sum of sum(1/n!) plus the tail bound 1/(N!*N); width ~3e-49.
+
+@functools.cache
+def e_enclosure() -> tuple[Fraction, Fraction]:
+    """Fractions lower < e < upper: sum(1/n!) to n = 40, plus the tail bound 1/(40!*40); width ~3e-49."""
+    from fractions import Fraction
+
     total = Fraction(0)
     factorial = 1
-    for n in range(terms + 1):
+    for n in range(41):
         if n:
             factorial *= n
         total += Fraction(1, factorial)
-    return total, total + Fraction(1, factorial * terms)
+    return total, total + Fraction(1, factorial * 40)
 
-
-E_LOWER, E_UPPER = _e_enclosure()
 
 # The largest exact count printed in full.  Decimal conversion takes quadratic
 # time, and CPython refuses ints above 4300 digits (about 14,284 bits) by
@@ -36,8 +42,7 @@ E_LOWER, E_UPPER = _e_enclosure()
 COUNT_MAX_BITS = 14_000
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """Rational enclosure lower <= true value <= upper of a real bound."""
 
     lower: Fraction
@@ -63,6 +68,8 @@ def scientific(value: Fraction) -> str:
     try:
         return f"{float(value):.4e}"
     except OverflowError:
+        from decimal import MAX_EMAX, Context, Decimal
+
         context = Context(prec=5, Emax=MAX_EMAX)
         return f"{context.divide(Decimal(value.numerator), Decimal(value.denominator)):.4e}"
 
@@ -118,8 +125,8 @@ def binomial_upper_bound(n: int, r: int) -> BoundValue:
         raise ValueError(f"need integers n >= 0 and r >= 1, got n={n!r}, r={r!r}")
     if r > n:
         raise ValueError(f"need r <= n, got n={n}, r={r}")
-    ratio = Fraction(n, r)
-    return BoundValue(lower=(E_LOWER * ratio) ** r, upper=(E_UPPER * ratio) ** r)
+    lower, upper = e_enclosure()
+    return BoundValue(lower=(lower * n / r) ** r, upper=(upper * n / r) ** r)
 
 
 def edge_count_upper_bound(k: int, l: int) -> BoundValue:
@@ -127,7 +134,8 @@ def edge_count_upper_bound(k: int, l: int) -> BoundValue:
     validate_params(k, l)
     scale = 2 ** (2 * l + l * l) * k**l * 2**k
     exponent = k // l
-    return BoundValue(lower=scale * E_LOWER**exponent, upper=scale * E_UPPER**exponent)
+    lower, upper = e_enclosure()
+    return BoundValue(lower=scale * lower**exponent, upper=scale * upper**exponent)
 
 
 def divisors(k: int) -> list[int]:
@@ -169,4 +177,5 @@ def best_l(k: int) -> int:
     """
     ranges = {l: _log2_count_range(k, l) for l in divisors(k)}
     ceiling = min(hi for _, hi in ranges.values())
-    return min((l for l, (lo, _) in ranges.items() if lo <= ceiling), key=lambda l: _edge_count(k, l))
+    survivors = [l for l, (lo, _) in ranges.items() if lo <= ceiling]
+    return min(survivors, key=lambda l: _edge_count(k, l)) if len(survivors) > 1 else survivors[0]

@@ -9,7 +9,7 @@ number vertices 1-based in that same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParameterError(ValueError):
@@ -20,8 +20,7 @@ class DivisibilityError(ParameterError):
     """l does not divide k, so the per-sequence block size is not integral."""
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """Validated instance parameters; construct via validate_params()."""
 
     k: int

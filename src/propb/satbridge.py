@@ -18,8 +18,7 @@ scale, and verifies any model before reporting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .construction import Hypergraph, edge_line
 from .params import Params
@@ -27,26 +26,30 @@ from .params import Params
 Clause = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Cnf:
-    variable_count: int
-    clauses: tuple[Clause, ...]
+    """Clauses over variables 1..variable_count, checked on construction; equal by value."""
 
-    def __post_init__(self) -> None:
-        if self.variable_count < 0:
-            raise ValueError(f"negative variable count {self.variable_count}")
-        for clause in self.clauses:
+    def __init__(self, variable_count: int, clauses: tuple[Clause, ...]):
+        if variable_count < 0:
+            raise ValueError(f"negative variable count {variable_count}")
+        for clause in clauses:
             seen = set()
             for lit in clause:
-                if lit == 0 or abs(lit) > self.variable_count:
-                    raise ValueError(f"literal {lit} invalid for {self.variable_count} variables")
+                if lit == 0 or abs(lit) > variable_count:
+                    raise ValueError(f"literal {lit} invalid for {variable_count} variables")
                 if -lit in seen:
                     raise ValueError(f"clause {clause} contains both {lit} and {-lit}")
                 seen.add(lit)
+        self.variable_count = variable_count
+        self.clauses = clauses
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cnf):
+            return NotImplemented
+        return (self.variable_count, self.clauses) == (other.variable_count, other.clauses)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     satisfiable: bool
     model: dict[int, bool] | None
     decisions: int

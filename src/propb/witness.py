@@ -26,8 +26,7 @@ string on a single line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .construction import Edge, Hypergraph, is_edge
 from .params import Params
@@ -73,8 +72,7 @@ def random_coloring(params: Params, rng: random.Random) -> Coloring:
     return "".join(rng.choice(COLORS) for _ in range(params.num_vertices))
 
 
-@dataclass(frozen=True)
-class MajorityProfile:
+class MajorityProfile(NamedTuple):
     """Per-sequence color counts; a flag is set when the count reaches half."""
 
     red_counts: tuple[int, ...]
@@ -165,8 +163,7 @@ def derandomized_shifts(
     return tuple(shifts), tuple(block)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A verified monochromatic edge together with how it was found."""
 
     color: str

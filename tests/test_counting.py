@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from propb import counting
 from propb.counting import (
-    E_LOWER,
-    E_UPPER,
     best_l,
     binomial,
     binomial_upper_bound,
     distinct_edge_count,
     divisors,
+    e_enclosure,
     edge_count,
     edge_count_upper_bound,
     scientific,
@@ -150,6 +150,7 @@ def test_scientific_rounds_ties_and_carries_past_the_float_range_as_integers_do(
 
 
 def test_e_enclosure_is_tight_and_correct():
+    E_LOWER, E_UPPER = e_enclosure()
     assert E_LOWER < E_UPPER
     assert float(E_UPPER - E_LOWER) < 1e-40
     # the enclosure is far tighter than a double, so both ends round to e
@@ -259,6 +260,17 @@ def test_best_l_equals_the_brute_force_minimum_up_to_300():
         counts = {l: edge_count(validate_params(k, l)) for l in divisors(k)}
         smallest = min(counts.values())
         assert best_l(k) == min(l for l, count in counts.items() if count == smallest), k
+
+
+def test_best_l_computes_no_count_when_one_divisor_survives(monkeypatch):
+    # 200003 is prime: the l = 200003 bracket starts far above l = 1's, so
+    # l = 1 wins without its 400,000-bit count being computed.
+    def refuse(k, l):
+        raise AssertionError(f"computed the count of ({k}, {l})")
+
+    monkeypatch.setattr(counting, "_edge_count", refuse)
+    assert divisors(200003) == [1, 200003]
+    assert best_l(200003) == 1
 
 
 @given(st.integers(1, 40))

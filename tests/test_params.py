@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from propb import params
 from propb.params import DivisibilityError, ParameterError, Params, validate_params
 
 
@@ -46,3 +50,34 @@ def test_derived_fields(k, l):
     assert p.seq_len == 2**l * k // l
     assert p.block_size * l == k
     assert p.seq_len >= p.block_size
+
+
+def test_params_hash_and_compare_by_value():
+    p = validate_params(4, 2)
+    assert p == validate_params(4, 2) and hash(p) == hash(validate_params(4, 2))
+    assert p != validate_params(4, 1)
+    assert len({p, validate_params(4, 2), validate_params(4, 1)}) == 2
+
+
+def constructor_calls(node: ast.AST) -> int:
+    """Calls in `node` of Params, of an attribute named Params, or of any _make or _replace."""
+    return sum(
+        isinstance(call, ast.Call)
+        and (
+            getattr(call.func, "id", None) == "Params"
+            or getattr(call.func, "attr", None) in ("Params", "_make", "_replace")
+            or getattr(getattr(call.func, "value", None), "id", None) == "Params"
+        )
+        for call in ast.walk(node)
+    )
+
+
+def test_validate_params_is_the_only_constructor_in_src():
+    total = inside = 0
+    for path in sorted(Path(params.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += constructor_calls(tree)
+        if path.name == "params.py":
+            (validate,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "validate_params"]
+            inside = constructor_calls(validate)
+    assert total == inside == 1

@@ -17,6 +17,7 @@ from propb.construction import Hypergraph, build_full, dedup, edge_line, write_e
 from propb.params import validate_params
 from propb.satbridge import (
     Cnf,
+    SolveResult,
     assignment_satisfies,
     dpll_satisfiable,
     dual_clause_parts,
@@ -36,6 +37,21 @@ def test_cnf_validation():
         Cnf(2, ((1, -1),))  # opposite literals in one clause
     with pytest.raises(ValueError):
         Cnf(-1, ())
+
+
+def test_cnf_compares_by_value():
+    cnf = Cnf(2, ((1, 2), (-1, -2)))
+    assert cnf == Cnf(2, ((1, 2), (-1, -2)))
+    assert cnf != Cnf(3, ((1, 2), (-1, -2)))
+    assert cnf != Cnf(2, ((1, 2),))
+    assert cnf != Cnf(2, ((-1, -2), (1, 2)))
+    assert cnf != (2, ((1, 2), (-1, -2)))
+
+
+def test_solve_result_fields_by_keyword():
+    result = SolveResult(satisfiable=True, model={1: False}, decisions=3)
+    assert (result.satisfiable, result.model, result.decisions) == (True, {1: False}, 3)
+    assert result == SolveResult(True, {1: False}, 3)
 
 
 def test_hypergraph_to_cnf_single_edge():

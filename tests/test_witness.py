@@ -21,6 +21,7 @@ from propb.witness import (
     ColoringError,
     MajorityError,
     MajorityProfile,
+    Witness,
     derandomized_shifts,
     find_proper_coloring,
     find_witness,
@@ -89,6 +90,15 @@ def test_select_same_majority_forced_by_pigeonhole():
         blue_majority=(False, True, False),
     )
     assert select_same_majority(p, prof) == (RED, (0, 2))
+
+
+def test_witness_and_majority_profile_fields_by_keyword():
+    prof = MajorityProfile(red_counts=(3,), blue_counts=(1,), red_majority=(True,), blue_majority=(False,))
+    assert prof == majority_profile(validate_params(2, 1), "RRBR")
+    assert (prof.red_counts, prof.blue_majority) == ((3,), (False,))
+    w = Witness(color=RED, chosen_seqs=(0, 2), shifts=(1, 0), positions=(0, 1), edge=(1, 2, 16, 17))
+    assert (w.color, w.chosen_seqs, w.shifts, w.positions, w.edge) == (RED, (0, 2), (1, 0), (0, 1), (1, 2, 16, 17))
+    assert w == Witness(RED, (0, 2), (1, 0), (0, 1), (1, 2, 16, 17))
 
 
 def test_select_same_majority_single_sequence():
