@@ -11,14 +11,16 @@ The embedded solver is plain DPLL (unit propagation, pure-literal
 elimination, most-occurrences branching) with no clause learning.  Its
 state is a few big ints over clause indices: the unsatisfied clauses and,
 bit-sliced, each clause's count of literals not yet false; an assignment
-updates them with a handful of bitwise operations, and a backtrack restores
-the snapshot its decision saved.  It is deterministic, complete at desk
-scale, and verifies any model before reporting it.
+updates them with a handful of bitwise operations, none making a negative
+int, and a backtrack restores the snapshot its decision saved.  Its set-up
+is one pass over the literal occurrences.  It is deterministic, complete at
+desk scale, and verifies any model before reporting it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import NamedTuple, Sequence
 
 from .construction import Hypergraph, edge_line
 from .params import Params
@@ -43,6 +45,12 @@ class Cnf:
         self.variable_count = variable_count
         self.clauses = clauses
 
+    @classmethod
+    def _unchecked(cls, variable_count: int, clauses: tuple[Clause, ...]) -> Cnf:
+        cnf = cls.__new__(cls)  # for callers that build only valid clauses
+        cnf.variable_count, cnf.clauses = variable_count, clauses
+        return cnf
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cnf):
             return NotImplemented
@@ -57,11 +65,15 @@ class SolveResult(NamedTuple):
 
 def hypergraph_to_cnf(hypergraph: Hypergraph) -> Cnf:
     """Two clauses per edge, in edge order: all-plain first, then all-negated."""
-    clauses: list[Clause] = []
-    for edge in hypergraph.edges:
-        clauses.append(tuple(v + 1 for v in edge))
-        clauses.append(tuple(-(v + 1) for v in edge))
-    return Cnf(hypergraph.vertex_count, tuple(clauses))
+    n, edges = hypergraph.vertex_count, hypergraph.edges
+    vertices = set(chain.from_iterable(edges))  # monotone clauses need no other check
+    if vertices and (min(vertices) < 0 or max(vertices) >= n):
+        edge = next(e for e in edges if e and (min(e) < 0 or max(e) >= n))
+        raise ValueError(f"edge {edge} has a vertex outside 0..{n - 1}")
+    clauses: list[Clause] = [()] * (2 * len(edges))
+    clauses[0::2] = map(tuple, map(map, repeat((1).__add__), edges))
+    clauses[1::2] = map(tuple, map(map, repeat((-1).__sub__), edges))
+    return Cnf._unchecked(n, tuple(clauses))
 
 
 def assignment_satisfies(cnf: Cnf, assignment: dict[int, bool]) -> bool:
@@ -70,45 +82,45 @@ def assignment_satisfies(cnf: Cnf, assignment: dict[int, bool]) -> bool:
     )
 
 
-def _mask(indices: Iterable[int], size: int) -> int:
-    """The int whose set bits are exactly the given indices, all below size."""
-    buf = bytearray((size + 7) // 8)
-    for i in indices:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
 class _Dpll:
     """DPLL over bitmasks of clause indices.
 
-    Bit i of `pos[v]` (`neg[v]`) is set when clause i holds v (-v).  `unsat`
-    holds the clauses with no true literal, and `planes[j]` holds bit j of
-    each clause's count of literals not yet false.  Only unsatisfied
-    clauses' counts are kept current; nothing reads the others.
+    Bit i of `pos[v]` (`neg[v]`) is set when clause i holds v (-v), never
+    both: `Cnf` refuses complementary pairs.  `unsat` holds the clauses with
+    no true literal, and `planes[j]` holds bit j of each clause's count of
+    literals not yet false, at first the bit-sliced sum of the literal
+    masks.  Only unsatisfied clauses' counts are kept current; nothing reads
+    the others.  No operation of the search makes a negative int.
     """
 
     def __init__(self, cnf: Cnf):
         # Repeated literals and duplicate clauses carry no information; solve
         # the distinct set, so each count starts at its clause's true width.
-        clauses = list(dict.fromkeys(tuple(sorted(set(clause))) for clause in cnf.clauses))
+        clauses = list(dict.fromkeys(map(tuple, map(sorted, map(set, cnf.clauses)))))
         self.nvars = n = cnf.variable_count
         self.clauses = clauses
         self.decisions = 0
-        occ: dict[int, list[int]] = {}
-        for ci, clause in enumerate(clauses):
-            for lit in clause:
-                occ.setdefault(lit, []).append(ci)
         size = len(clauses)
-        self.pos = [_mask(occ.get(v, ()), size) for v in range(n + 1)]
-        self.neg = [_mask(occ.get(-v, ()), size) for v in range(n + 1)]
+        # Literal lit's bitmap is bits[lit]: -v indexes from the end.
+        bits = [bytearray((size + 7) >> 3) for _ in range(2 * n + 1)]
+        for ci, clause in enumerate(clauses):
+            byte, bit = ci >> 3, 1 << (ci & 7)
+            for lit in clause:
+                bits[lit][byte] |= bit
+        masks = [int.from_bytes(b, "little") for b in bits]
+        self.pos = masks[: n + 1]
+        self.neg = [masks[-v] for v in range(n + 1)]
         # A variable's score never exceeds its static occurrence count.
-        self.static = [len(occ.get(v, ())) + len(occ.get(-v, ())) for v in range(n + 1)]
-        widest = max(map(len, clauses), default=0)
-        self.unsat = (1 << size) - 1
-        self.planes = tuple(
-            _mask((ci for ci, clause in enumerate(clauses) if len(clause) >> j & 1), size)
-            for j in range(max(1, widest.bit_length()))
-        )
+        self.static = [(p | m).bit_count() for p, m in zip(self.pos, self.neg)]
+        planes = [0]  # add the literal masks, carrying up: each clause's width
+        for carry in masks:
+            for j, plane in enumerate(planes):
+                planes[j], carry = plane ^ carry, plane & carry
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        self.unsat, self.planes = (1 << size) - 1, tuple(planes)
         self.value = [0] * (n + 1)  # 0 free, +1 true, -1 false
         self.trail: list[int] = []
 
@@ -129,27 +141,28 @@ class _Dpll:
                 value[v] = 1 if lit > 0 else -1
                 self.trail.append(v)
                 true, false = (pos[v], neg[v]) if lit > 0 else (neg[v], pos[v])
-                unsat &= ~true
+                unsat ^= unsat & true
                 # Subtract one from the count of each unsatisfied clause
-                # that lit falsifies, borrowing up through the planes.
+                # that lit falsifies, borrowing up through the planes where
+                # the old bit was 0, so the new one is 1.
                 borrow = false & unsat
                 if borrow:
                     sliced = list(planes)
                     for j, plane in enumerate(sliced):
-                        sliced[j] = plane ^ borrow
-                        borrow &= ~plane
+                        sliced[j] = plane = plane ^ borrow
+                        borrow &= plane
                         if not borrow:
                             break
                     planes = tuple(sliced)
             high = 0
             for plane in planes[1:]:
                 high |= plane
-            at_most_one = unsat & ~high
-            if at_most_one & ~planes[0]:
-                return None
+            at_most_one = unsat ^ (unsat & high)
             units = at_most_one & planes[0]
+            if at_most_one != units:
+                return None
             if units:
-                ci = (units & -units).bit_length() - 1
+                ci = (units ^ (units - 1)).bit_length() - 1
                 lit = next(u for u in self.clauses[ci] if not value[abs(u)])
                 continue
             lit = best = best_score = 0
@@ -159,7 +172,7 @@ class _Dpll:
                 plus, minus = pos[v] & unsat, neg[v] & unsat
                 if plus and minus:
                     if static[v] > best_score:
-                        score = plus.bit_count() + minus.bit_count()
+                        score = (plus | minus).bit_count()
                         if score > best_score:
                             best, best_score = v, score
                 elif plus or minus:

@@ -1,8 +1,11 @@
 import hashlib
 import io
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     DimacsError,
@@ -13,11 +16,19 @@ from helpers import (
     parse_dimacs,
     truth_table_satisfiable,
 )
-from propb.construction import Hypergraph, build_full, dedup, edge_line, write_edge_list
+from propb.construction import (
+    Hypergraph,
+    build_full,
+    dedup,
+    distinct_hypergraph,
+    edge_line,
+    write_edge_list,
+)
 from propb.params import validate_params
 from propb.satbridge import (
     Cnf,
     SolveResult,
+    _Dpll,
     assignment_satisfies,
     dpll_satisfiable,
     dual_clause_parts,
@@ -73,6 +84,37 @@ def test_hypergraph_to_cnf_full_and_empty():
         assert all(lit > 0 for lit in plain)
         assert negated == tuple(-lit for lit in plain)
     assert hypergraph_to_cnf(Hypergraph(p, ())).clauses == ()
+
+
+# Unsorted edges too: an edge's first and last vertex need not be its extremes.
+@pytest.mark.parametrize("edge", [(-1,), (0, -1), (4,), (4, 0), (1, 4, 2)])
+def test_hypergraph_to_cnf_rejects_vertices_out_of_range(edge):
+    h = Hypergraph(validate_params(2, 1), ((0, 1), edge, (2, 3)))  # vertices 0..3
+    with pytest.raises(ValueError, match=re.escape(str(edge))):
+        hypergraph_to_cnf(h)
+
+
+def _per_literal_cnf(h):
+    clauses = []
+    for edge in h.edges:
+        clauses += [tuple(v + 1 for v in edge), tuple(-(v + 1) for v in edge)]
+    return Cnf(h.vertex_count, tuple(clauses))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        distinct_hypergraph(validate_params(3, 3)),
+        distinct_hypergraph(validate_params(7, 1)),
+        Hypergraph(validate_params(2, 1), ((0, 1), (), (2, 3))),  # an empty edge
+        Hypergraph(validate_params(2, 1), ((2, 2), (3, 0, 3))),  # repeated vertices
+    ],
+    ids=["3-3", "7-1", "empty-edge", "repeated-vertex"],
+)
+def test_hypergraph_to_cnf_matches_the_checked_construction(h):
+    cnf = hypergraph_to_cnf(h)
+    assert cnf == _per_literal_cnf(h)
+    assert all(type(clause) is tuple for clause in cnf.clauses)
 
 
 @pytest.mark.parametrize("k,l", [(3, 1), (2, 2), (4, 2)])
@@ -201,6 +243,65 @@ def test_dpll_search_depth_is_not_bounded_by_recursion():
     result = dpll_satisfiable(cnf)
     assert result.satisfiable and result.decisions == 1200
     assert assignment_satisfies(cnf, result.model)
+
+
+# Set-up of the deduplicated duals `solve --dedup` decides, as before the
+# one-pass set-up: distinct clauses and count planes (clause widths 3, 4, 7).
+@pytest.mark.parametrize("k,l,clauses,planes", [(3, 3, 10240, 2), (4, 2, 1248, 3), (7, 1, 6864, 3)])
+def test_dpll_setup_on_real_duals(k, l, clauses, planes):
+    solver = _Dpll(hypergraph_to_cnf(distinct_hypergraph(validate_params(k, l))))
+    assert (len(solver.clauses), len(solver.planes)) == (clauses, planes)
+
+
+def _counts(solver):
+    """Each clause's count of literals not yet false, decoded from the planes."""
+    return [
+        sum((plane >> ci & 1) << j for j, plane in enumerate(solver.planes))
+        for ci in range(len(solver.clauses))
+    ]
+
+
+@st.composite
+def _cnfs_with_repeats(draw):
+    # Each clause fixes one sign per variable, so repeated literals, duplicate
+    # clauses and empty clauses occur but complementary pairs do not.
+    nvars = draw(st.integers(1, 6))
+    clauses = []
+    for _ in range(draw(st.integers(0, 12))):
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=nvars, max_size=nvars))
+        variables = draw(st.lists(st.integers(1, nvars), max_size=5))
+        clauses.append(tuple(signs[v - 1] * v for v in variables))
+    return Cnf(nvars, tuple(clauses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnf=_cnfs_with_repeats(), data=st.data())
+def test_dpll_bit_sliced_counts_match_a_recount(cnf, data):
+    solver = _Dpll(cnf)
+    n = cnf.variable_count
+    assert _counts(solver) == [len(clause) for clause in solver.clauses]
+    assert solver.unsat == (1 << len(solver.clauses)) - 1
+    for v in range(n + 1):
+        assert solver.pos[v] & solver.neg[v] == 0
+        holding = [ci for ci, clause in enumerate(solver.clauses) if v in clause or -v in clause]
+        assert solver.static[v] == len(holding)
+    lit = 0
+    while True:
+        branch = solver._propagate(lit)
+        value = solver.value
+        truth = [[value[abs(u)] * (1 if u > 0 else -1) for u in clause] for clause in solver.clauses]
+        if branch is None:  # a real conflict: some clause has every literal false
+            assert any(all(t == -1 for t in clause) for clause in truth)
+            break
+        counts = _counts(solver)
+        for ci, clause in enumerate(truth):
+            assert (solver.unsat >> ci & 1) == (1 not in clause)
+            if 1 not in clause:
+                assert counts[ci] == clause.count(0)
+        free = [v for v in range(1, n + 1) if not value[v]]
+        if not free:
+            break
+        lit = data.draw(st.sampled_from(free)) * data.draw(st.sampled_from((1, -1)))
 
 
 def test_emit_dimacs_examples():
