@@ -26,12 +26,14 @@ edge line; satbridge.dual_clause_parts: its shares of the plain and the
 negated DIMACS clause).  _join adds a group's columns into edge tuples, for
 iter_edges and iter_distinct_edges; _interleave joins part i of each column
 in turn into one chunk of text, for iter_edge_chunks and
-iter_distinct_chunks.  The multiset engine, _groups, yields one group per
-(sequence subset, shift tuple): its l tables from _part_tables.  The
-distinct engine, _distinct_groups, yields one per (lowest sequence, block):
-the head's parts repeated, then the later columns, built once per
-translation orbit of the block as references to parts rendered once per
-(sequence, block).
+iter_distinct_chunks.  Both render each (sequence, block) once, by
+_rendered.  The multiset engine, _groups, yields one group per (sequence
+subset, shift tuple): its l tables from _part_tables.  The distinct
+engine, _distinct_groups, yields one per (lowest sequence, block): the
+head's parts repeated, then the later columns, built once per translation
+orbit of the block by one recursion: for each next sequence t, the parts of
+the orbit's blocks on t, each repeated once per way on past t, then the
+columns of those ways, built the same way, repeated once per block.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers;
@@ -95,6 +97,11 @@ def _blocks(params: Params) -> tuple[list[tuple[int, ...]], list[int]]:
     return combos, step
 
 
+def _rendered(combos: list[tuple[int, ...]], kp: int, seq: int, last: bool, render: Render) -> list:
+    """The `render` parts of every block of sequence seq in turn, blocks in combinations order."""
+    return [part for block in combos for part in render([seq * kp + r for r in block], last)]
+
+
 def _part_tables(params: Params, chosen: Sequence[int], render: Render) -> list[list[list]]:
     """Per chosen sequence and shift, the parts of every block, blocks in combinations order.
 
@@ -111,8 +118,7 @@ def _part_tables(params: Params, chosen: Sequence[int], render: Render) -> list[
     combos, step = _blocks(params)
     tables = []
     for i, seq in enumerate(chosen):
-        last = i == len(chosen) - 1
-        per_shift = [[part for block in combos for part in render([seq * kp + r for r in block], last)]]
+        per_shift = [_rendered(combos, kp, seq, i == len(chosen) - 1, render)]
         width = len(per_shift[0]) // len(combos)  # parts per block
         wide_step = [width * s + j for s in step for j in range(width)]
         for _ in range(kp - 1):
@@ -231,28 +237,6 @@ def _orbits(step: list[int]) -> list[list[int]]:
     return orbits
 
 
-def _later_columns(orbit: list[int], first: int, inner: dict, final: dict, width: int, n: int, l: int) -> list[list]:
-    """The later columns of the edges whose head is a block of `orbit` on sequence `first`.
-
-    Sorted, such an edge goes on with a later sequence and a translate of
-    its head block, one of `orbit`, then one of the ways to go on past that
-    sequence.  inner[s] and final[s] hold the `width` parts of each block of
-    sequence s in turn, not last and last; the columns only refer to them.
-    """
-    # past[s]: the columns of the ways to go on past sequence s with `depth` sequences to go.
-    past: list[list[list]] = [[] for _ in range(n)]
-    for depth in range(1, l):
-        tables = final if depth == 1 else inner
-        below, past = past, [[[] for _ in range(depth)] for _ in range(n)]
-        for s in range(n - 1 - depth, first + l - 2 - depth, -1):
-            table = tables[s + 1]
-            ways = len(below[s + 1][0]) // width if depth > 1 else 1
-            columns = [[part for o in orbit for part in table[o * width : (o + 1) * width] * ways]]
-            columns += [column * len(orbit) for column in below[s + 1]]
-            past[s] = [mine + rest for mine, rest in zip(columns, past[s + 1])]
-    return past[first]
-
-
 def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
     """The distinct edges in sorted order, one group per (lowest sequence, block).
 
@@ -273,22 +257,35 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
     else:
         combos, step = _blocks(params)
         orbits = _orbits(step)
-
-        def rendered(seq: int, last: bool) -> list:
-            return [part for block in combos for part in render([seq * kp + r for r in block], last)]
-
-        inner = {seq: rendered(seq, False) for seq in range(n - 1)}
-        final = {seq: rendered(seq, True) for seq in range(l - 1, n)}
+        inner = {seq: _rendered(combos, kp, seq, False, render) for seq in range(n - 1)}
+        final = {seq: _rendered(combos, kp, seq, True, render) for seq in range(l - 1, n)}
         width = len(inner[0]) // len(combos)  # parts per block
+
+        def later(orbit: list[int], s: int, depth: int) -> list[list]:
+            """The columns of the ways on past sequence s, `depth` sequences to go.
+
+            Sorted, a way is a later sequence t, a translate of the head block
+            (one of `orbit`), then a way on past t.
+            """
+            columns: list[list] = [[] for _ in range(depth)]
+            for t in range(s + 1, n - depth + 1):
+                rest = later(orbit, t, depth - 1) if depth > 1 else []
+                ways = len(rest[0]) // width if rest else 1
+                table = final[t] if depth == 1 else inner[t]
+                columns[0] += [part for o in orbit for part in table[o * width : (o + 1) * width] * ways]
+                for column, deeper in zip(columns[1:], rest):
+                    column += deeper * len(orbit)
+            return columns
+
         for first in range(n - l + 1):
             later_of: dict[int, list[list]] = {}  # by the orbit's lowest block
             for i, orbit in enumerate(orbits):
-                later = later_of.get(orbit[0])
-                if later is None:
-                    later = later_of[orbit[0]] = _later_columns(orbit, first, inner, final, width, n, l)
-                edges = len(later[0]) // width
+                columns = later_of.get(orbit[0])
+                if columns is None:
+                    columns = later_of[orbit[0]] = later(orbit, first, l - 1)
+                edges = len(columns[0]) // width
                 count += edges
-                yield [inner[first][i * width : (i + 1) * width] * edges, *later]
+                yield [inner[first][i * width : (i + 1) * width] * edges, *columns]
     expected = counting.distinct_edge_count(params)
     if count != expected:
         raise AssertionError(f"built {count} distinct edges, formula says {expected}")

@@ -119,16 +119,6 @@ def seq_len_divisors(params: Params) -> list[int]:
     return sorted({2**a * d for a in range(params.l + 1) for d in divisors(params.block_size)})
 
 
-def binomial_upper_bound(n: int, r: int) -> BoundValue:
-    """The classical bound (e*n/r)^r >= C(n, r), as a rational enclosure."""
-    if not isinstance(n, int) or not isinstance(r, int) or n < 0 or r < 1:
-        raise ValueError(f"need integers n >= 0 and r >= 1, got n={n!r}, r={r!r}")
-    if r > n:
-        raise ValueError(f"need r <= n, got n={n}, r={r}")
-    lower, upper = e_enclosure()
-    return BoundValue(lower=(lower * n / r) ** r, upper=(upper * n / r) ** r)
-
-
 def edge_count_upper_bound(k: int, l: int) -> BoundValue:
     """Closed-form upper bound 2^(2l+l^2) * k^l * 2^k * e^(k/l) on edge_count."""
     validate_params(k, l)

@@ -215,21 +215,16 @@ class _Dpll:
             else:
                 return False
 
-    def solve(self) -> SolveResult:
-        if self._search():
-            model = {v: self.value[v] > 0 for v in range(1, self.nvars + 1)}
-            return SolveResult(True, model, self.decisions)
-        return SolveResult(False, None, self.decisions)
-
 
 def dpll_satisfiable(cnf: Cnf) -> SolveResult:
     """Complete satisfiability decision; models are verified before returning."""
-    result = _Dpll(cnf).solve()
-    if result.satisfiable:
-        assert result.model is not None
-        if not assignment_satisfies(cnf, result.model):
-            raise AssertionError("solver produced a non-satisfying model")
-    return result
+    solver = _Dpll(cnf)
+    if not solver._search():
+        return SolveResult(False, None, solver.decisions)
+    model = {v: solver.value[v] > 0 for v in range(1, cnf.variable_count + 1)}
+    if not assignment_satisfies(cnf, model):
+        raise AssertionError("solver produced a non-satisfying model")
+    return SolveResult(True, model, solver.decisions)
 
 
 def dual_clause_parts(vertices: Sequence[int], last: bool) -> tuple[str, str]:

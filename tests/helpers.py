@@ -4,6 +4,8 @@ Everything here is written straight from the definitions, with no shared
 code or precomputation tricks, so a bug in an optimized implementation
 cannot hide in its own oracle.  That includes a whole-text DIMACS writer
 and the only DIMACS reader, which check the streamed `gen --format dimacs`.
+binomial_upper_bound, the classical bound on C(n, r), lives here too: only
+the tests use it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction
 from math import floor, log10, prod
 from typing import Iterable, Iterator, Sequence
 
+from propb.counting import BoundValue, e_enclosure
 from propb.params import Params
 from propb.satbridge import Clause, Cnf
 from propb.witness import BLUE, COLORS, check_coloring
@@ -65,6 +68,16 @@ def scientific_by_integers(value: Fraction) -> str:
         digits, exponent = digits // 10, exponent + 1
     text = str(digits)
     return f"{text[0]}.{text[1:]}e{exponent:+03d}"
+
+
+def binomial_upper_bound(n: int, r: int) -> BoundValue:
+    """The classical bound (e*n/r)^r >= C(n, r), as a rational enclosure."""
+    if not isinstance(n, int) or not isinstance(r, int) or n < 0 or r < 1:
+        raise ValueError(f"need integers n >= 0 and r >= 1, got n={n!r}, r={r!r}")
+    if r > n:
+        raise ValueError(f"need r <= n, got n={n}, r={r}")
+    lower, upper = e_enclosure()
+    return BoundValue(lower=(lower * n / r) ** r, upper=(upper * n / r) ** r)
 
 
 def all_colorings(num_vertices: int) -> Iterator[str]:

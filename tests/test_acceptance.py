@@ -12,6 +12,7 @@ import time
 from helpers import (
     aligned_positions,
     all_colorings,
+    binomial_upper_bound,
     coloring_to_assignment,
     emit_dimacs,
     exhaustive_best_shifts,
@@ -24,7 +25,6 @@ from propb import cli
 from propb.construction import Hypergraph, build_full, dedup
 from propb.counting import (
     binomial,
-    binomial_upper_bound,
     divisors,
     edge_count,
     edge_count_upper_bound,

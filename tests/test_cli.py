@@ -219,13 +219,20 @@ def test_gen_8_2_stdout_is_pinned(extra, digest):
     [
         ((), "0cda213893b338421ebc220ae71fb246e789a310963cab19b2c198910012181f"),
         (("--format", "dimacs"), "a95574518ab21f0929b14664194cc3818e1cf97c7508699875bb6fb4b79a70f2"),
+        (("--dedup",), "3ed6d5d50bb9d7ab3ee39127bb97d20cc290d0b188c38db7d3fbe7b7300ba24e"),
+        (
+            ("--dedup", "--format", "dimacs"),
+            "fe64306ad747e9d5b46889ab90f0dd54c281223418d897a887d007662e7801a5",
+        ),
     ],
-    ids=["edges", "dimacs"],
+    ids=["edges", "dimacs", "dedup-edges", "dedup-dimacs"],
 )
 def test_gen_6_3_stdout_is_pinned(extra, digest):
     # Three sequences per edge, so each chunk interleaves three parts tables.
     # The digests were taken when every edge's text was built by `+` of its
-    # parts, a path that shares no joining code with the interleave.
+    # parts, a path that shares no joining code with the interleave.  With
+    # --dedup the later columns are two sequences deep and the orbits have
+    # two sizes, 16 and 8.
     sink = _Sha256Sink()
     with contextlib.redirect_stdout(sink):
         assert cli.main(["gen", "--k", "6", "--l", "3", *extra]) == 0

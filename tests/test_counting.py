@@ -12,7 +12,6 @@ from propb import counting
 from propb.counting import (
     best_l,
     binomial,
-    binomial_upper_bound,
     distinct_edge_count,
     divisors,
     e_enclosure,
@@ -21,7 +20,7 @@ from propb.counting import (
     scientific,
     seq_len_divisors,
 )
-from helpers import scientific_by_integers
+from helpers import binomial_upper_bound, scientific_by_integers
 from propb.params import ParameterError, validate_params
 
 
