@@ -9,12 +9,14 @@ whose blocks' parts come from dual_clause_parts.
 
 The embedded solver is plain DPLL (unit propagation, pure-literal
 elimination, most-occurrences branching) with no clause learning.  Its
-state is a few big ints over clause indices: the unsatisfied clauses and,
-bit-sliced, each clause's count of literals not yet false; an assignment
-updates them with a handful of bitwise operations, none making a negative
-int, and a backtrack restores the snapshot its decision saved.  Its set-up
-is one pass over the literal occurrences.  It is deterministic, complete at
-desk scale, and verifies any model before reporting it.
+state is the variables' values and a few big ints over clause indices: the
+unsatisfied clauses and, bit-sliced, each clause's count of literals not yet
+false.  An assignment updates the ints with a handful of bitwise
+operations, none making a negative int.  A decision saves the whole state
+as one snapshot (the ints by reference, the values as a copy), and a
+backtrack restores it.  Its set-up is one pass over the literal
+occurrences.  It is deterministic, complete at desk scale, and verifies any
+model before reporting it.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ class _Dpll:
     no true literal, and `planes[j]` holds bit j of each clause's count of
     literals not yet false, at first the bit-sliced sum of the literal
     masks.  Only unsatisfied clauses' counts are kept current; nothing reads
-    the others.  No operation of the search makes a negative int.
+    the others.  No operation of the search makes a negative int.  A
+    decision snapshots `unsat`, `planes` and the per-variable `value`.
     """
 
     def __init__(self, cnf: Cnf):
@@ -122,7 +125,6 @@ class _Dpll:
                 planes.append(carry)
         self.unsat, self.planes = (1 << size) - 1, tuple(planes)
         self.value = [0] * (n + 1)  # 0 free, +1 true, -1 false
-        self.trail: list[int] = []
 
     def _propagate(self, lit: int) -> int | None:
         """Make lit true (none if 0), then close under units and lowest pure literals.
@@ -139,7 +141,6 @@ class _Dpll:
             if lit:
                 v = abs(lit)
                 value[v] = 1 if lit > 0 else -1
-                self.trail.append(v)
                 true, false = (pos[v], neg[v]) if lit > 0 else (neg[v], pos[v])
                 unsat ^= unsat & true
                 # Subtract one from the count of each unsatisfied clause
@@ -185,35 +186,26 @@ class _Dpll:
     def _search(self) -> bool:
         """Depth-first over decisions, positive literal first, with an explicit stack.
 
-        Each stack entry is one open decision: (variable, literal in force,
-        and the unsat mask, count planes and trail length saved before it).
-        The masks are immutable ints, so a backtrack restores them by
-        reference and undoes only the per-variable values.  Depth is bounded
-        by the variable count, not by Python's recursion limit.
+        Each stack entry is one decision whose negative branch is untried:
+        (that literal, and the unsat mask, count planes and values saved
+        before the decision).  A conflict pops the newest entry, restores its
+        snapshot by reference and propagates its literal; a conflict on an
+        empty stack means unsatisfiable.  Depth is bounded by the variable
+        count, not by Python's recursion limit.
         """
-        stack: list[tuple[int, int, int, tuple[int, ...], int]] = []
+        stack: list[tuple[int, int, tuple[int, ...], list[int]]] = []
         branch = self._propagate(0)
-        while True:
-            if branch == 0:
-                return True
-            if branch is not None:
-                self.decisions += 1
-                stack.append((branch, branch, self.unsat, self.planes, len(self.trail)))
-                branch = self._propagate(branch)
-                continue
-            # The branch on top failed: undo it and take the other literal,
-            # or, when both have failed, backtrack into the decision below.
-            while stack:
-                variable, lit, self.unsat, self.planes, mark = stack.pop()
-                for v in self.trail[mark:]:
-                    self.value[v] = 0
-                del self.trail[mark:]
-                if lit == variable:
-                    stack.append((variable, -variable, self.unsat, self.planes, mark))
-                    branch = self._propagate(-variable)
-                    break
+        while branch != 0:
+            if branch is None:
+                if not stack:
+                    return False
+                lit, self.unsat, self.planes, self.value = stack.pop()
+                branch = self._propagate(lit)
             else:
-                return False
+                self.decisions += 1
+                stack.append((-branch, self.unsat, self.planes, self.value[:]))
+                branch = self._propagate(branch)
+        return True
 
 
 def dpll_satisfiable(cnf: Cnf) -> SolveResult:

@@ -245,6 +245,36 @@ def test_dpll_search_depth_is_not_bounded_by_recursion():
     assert assignment_satisfies(cnf, result.model)
 
 
+def test_dpll_unsat_search_tree_is_complete(monkeypatch):
+    # On an UNSAT CNF both branches of every decision end in conflicts, so
+    # the tree has one conflict leaf more than it has decisions.
+    conflicts = 0
+    propagate = _Dpll._propagate
+
+    def counting(self, lit):
+        nonlocal conflicts
+        branch = propagate(self, lit)
+        conflicts += branch is None
+        return branch
+
+    monkeypatch.setattr(_Dpll, "_propagate", counting)
+    duals = [
+        (hypergraph_to_cnf(distinct_hypergraph(validate_params(k, l))), expected)
+        for k, l, expected in [(2, 2, 2), (4, 1, 20), (4, 2, 88), (3, 3, 528), (7, 1, 924)]
+    ]
+    golden = [(cnf, None) for cnf in _golden_cnfs()]
+    unsat = 0
+    for cnf, expected in duals + golden:
+        conflicts = 0
+        result = dpll_satisfiable(cnf)
+        assert expected is None or not result.satisfiable
+        if not result.satisfiable:
+            unsat += 1
+            assert conflicts == result.decisions + 1
+            assert expected in (None, conflicts)
+    assert unsat == len(duals) + 201  # 201 of the 500 golden CNFs are UNSAT
+
+
 # Set-up of the deduplicated duals `solve --dedup` decides, as before the
 # one-pass set-up: distinct clauses and count planes (clause widths 3, 4, 7).
 @pytest.mark.parametrize("k,l,clauses,planes", [(3, 3, 10240, 2), (4, 2, 1248, 3), (7, 1, 6864, 3)])
