@@ -8,9 +8,10 @@ verify-small (exhaustive non-2-colorability check).
 gen takes its renderer and header line from one format table, FORMATS:
 it writes the header, with the multiset count or, for --dedup, the
 closed-form distinct count, then the chunks of iter_edge_chunks or
-iter_distinct_chunks.  Besides one chunk, it holds one sequence subset's
-part tables, or for --dedup the later columns of every translation orbit
-for the current lowest sequence, as references to parts rendered once.
+iter_distinct_chunks.  Besides one chunk and every sequence's parts,
+rendered once, it holds one sequence subset's shifted tables, or for
+--dedup the later columns of every translation orbit for the current lowest
+sequence, as references to those parts.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses

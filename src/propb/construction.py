@@ -26,14 +26,16 @@ edge line; satbridge.dual_clause_parts: its shares of the plain and the
 negated DIMACS clause).  _join adds a group's columns into edge tuples, for
 iter_edges and iter_distinct_edges; _interleave joins part i of each column
 in turn into one chunk of text, for iter_edge_chunks and
-iter_distinct_chunks.  Both render each (sequence, block) once, by
-_rendered.  The multiset engine, _groups, yields one group per (sequence
-subset, shift tuple): its l tables from _part_tables.  The distinct
-engine, _distinct_groups, yields one per (lowest sequence, block): the
-head's parts repeated, then the later columns, built once per translation
-orbit of the block by one recursion: for each next sequence t, the parts of
-the orbit's blocks on t, each repeated once per way on past t, then the
-columns of those ways, built the same way, repeated once per block.
+iter_distinct_chunks.  Both engines take every part from _tables, which
+renders each (sequence, block) once per run.  The multiset engine, _groups,
+yields one group per (sequence subset, shift tuple): a shifted table per
+chosen sequence.  The distinct engine, _distinct_groups, yields one per
+(lowest sequence, block): the head's parts repeated, then the later
+columns, built once per translation orbit of the block by one recursion:
+for each next sequence t, the parts of the orbit's blocks on t, each
+repeated once per way on past t, then the columns of those ways, built the
+same way, repeated once per block.  At l = 1 a group is _L1_GROUP_BLOCKS
+blocks, rendered as they stream.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers;
@@ -51,10 +53,12 @@ from . import counting
 from .params import Params
 
 Edge = tuple[int, ...]
-# render(vertices, last): a block's parts of an edge, see _part_tables.
+# render(vertices, last): a block's parts of an edge, see _tables.
 Render = Callable[[Sequence[int], bool], tuple]
 
 DEFAULT_EDGE_CAP = 10_000_000
+# Blocks per distinct group at l = 1: bounds a group's text, shares its write.
+_L1_GROUP_BLOCKS = 1024
 
 
 class EdgeCapError(RuntimeError):
@@ -88,43 +92,25 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
-def _blocks(params: Params) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The blocks in combinations order, and step: block i translated by +1 is block step[i]."""
-    kp = params.seq_len
+def _tables(params: Params, render: Render) -> tuple[list[int], dict[int, list], dict[int, list], int]:
+    """step, inner, final and the parts per block: each sequence's blocks rendered once.
+
+    Blocks are in combinations order; block i translated by +1 is block
+    step[i].  inner[seq] (final[seq]) holds every block's `render` parts in
+    turn, for each seq that can be a chosen sequence that another follows
+    (that is last).  Chosen sequences ascend, so joined parts are sorted.
+    """
+    kp, n, l = params.seq_len, params.num_sequences, params.l
     combos = list(itertools.combinations(range(kp), params.block_size))
     index = {block: i for i, block in enumerate(combos)}
     step = [index[tuple(sorted([(r + 1) % kp for r in block]))] for block in combos]
-    return combos, step
 
+    def rendered(seq: int, last: bool) -> list:
+        return [part for block in combos for part in render([seq * kp + r for r in block], last)]
 
-def _rendered(combos: list[tuple[int, ...]], kp: int, seq: int, last: bool, render: Render) -> list:
-    """The `render` parts of every block of sequence seq in turn, blocks in combinations order."""
-    return [part for block in combos for part in render([seq * kp + r for r in block], last)]
-
-
-def _part_tables(params: Params, chosen: Sequence[int], render: Render) -> list[list[list]]:
-    """Per chosen sequence and shift, the parts of every block, blocks in combinations order.
-
-    `render(vertices, last)` gives the parts of one sequence's sorted
-    vertices at the shifted positions of a block, `last` telling whether no
-    chosen sequence follows; a table interleaves its blocks' parts, so that
-    joining equal indices across one shift tuple's tables gives the parts of
-    an edge.  A shift only permutes a sequence's blocks, so each part is
-    rendered once and every shift's table refers to the same objects.  The
-    chosen sequences ascend and have disjoint vertex ranges, so joined parts
-    are canonically sorted.
-    """
-    kp = params.seq_len
-    combos, step = _blocks(params)
-    tables = []
-    for i, seq in enumerate(chosen):
-        per_shift = [_rendered(combos, kp, seq, i == len(chosen) - 1, render)]
-        width = len(per_shift[0]) // len(combos)  # parts per block
-        wide_step = [width * s + j for s in step for j in range(width)]
-        for _ in range(kp - 1):
-            per_shift.append(list(map(per_shift[-1].__getitem__, wide_step)))
-        tables.append(per_shift)
-    return tables
+    inner = {seq: rendered(seq, False) for seq in range(n - 1)}
+    final = {seq: rendered(seq, True) for seq in range(l - 1, n)}
+    return step, inner, final, len(final[n - 1]) // len(combos)
 
 
 def _tuple_parts(vertices: Sequence[int], last: bool) -> tuple[Edge]:
@@ -134,14 +120,24 @@ def _tuple_parts(vertices: Sequence[int], last: bool) -> tuple[Edge]:
 def _groups(params: Params, render: Render) -> Iterator[Sequence[list]]:
     """The multiset's edges in order, one group per (sequence subset, shift tuple).
 
-    A group is the shift tuple's l tables from _part_tables, one column per
-    chosen sequence, every block an edge: subsets in lexicographic order,
-    then shift tuple major, block minor.
+    A group is one table per chosen sequence, every block an edge: subsets
+    in lexicographic order, then shift tuple major, block minor.  A shift
+    only permutes a sequence's blocks, so its table refers to the parts of
+    inner, or for the last chosen sequence of final.
     """
-    for chosen in itertools.combinations(range(params.num_sequences), params.l):
+    step, inner, final, width = _tables(params, render)
+    wide_step = [width * s + j for s in step for j in range(width)]
+
+    def shifted(table: list) -> list[list]:
+        per_shift = [table]
+        for _ in range(params.seq_len - 1):
+            per_shift.append(list(map(per_shift[-1].__getitem__, wide_step)))
+        return per_shift
+
+    for *heads, last in itertools.combinations(range(params.num_sequences), params.l):
         # Bound to no name, and the callers' map holds no group between calls,
-        # so only one subset's tables are alive at a time.
-        yield from itertools.product(*_part_tables(params, chosen, render))
+        # so only one subset's shifted tables are alive at a time.
+        yield from itertools.product(*[shifted(inner[seq]) for seq in heads], shifted(final[last]))
 
 
 def _join(columns: Sequence[list]) -> Iterable[Edge]:
@@ -242,24 +238,23 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
 
     Sorted, an edge is its block S on its lowest sequence, then each later
     (sequence, translate of S) in turn.  The translates of S are its orbit
-    under step, whose index order is tuple order, so every part is rendered
-    once per (sequence, block) and the blocks of one orbit share their
-    later columns, which are kept until the lowest sequence changes.
+    under step, whose index order is tuple order, so the blocks of one orbit
+    share their later columns, which are kept until the lowest sequence
+    changes.  At l = 1 every block is a whole edge, and a group holds up to
+    _L1_GROUP_BLOCKS of them, rendered as they stream from combinations.
     Raises AssertionError at exhaustion unless the groups held
     distinct_edge_count(params) edges.
     """
-    kp, n, l = params.seq_len, params.num_sequences, params.l
+    n, l = params.num_sequences, params.l
     count = 0
-    if l == 1:  # each block of the only sequence is one whole edge
-        for block in itertools.combinations(range(kp), params.block_size):
-            count += 1
-            yield [render(block, True)]
+    if l == 1:
+        blocks = itertools.combinations(range(params.seq_len), params.block_size)
+        while group := list(itertools.islice(blocks, _L1_GROUP_BLOCKS)):
+            count += len(group)
+            yield [[part for block in group for part in render(block, True)]]
     else:
-        combos, step = _blocks(params)
+        step, inner, final, width = _tables(params, render)
         orbits = _orbits(step)
-        inner = {seq: _rendered(combos, kp, seq, False, render) for seq in range(n - 1)}
-        final = {seq: _rendered(combos, kp, seq, True, render) for seq in range(l - 1, n)}
-        width = len(inner[0]) // len(combos)  # parts per block
 
         def later(orbit: list[int], s: int, depth: int) -> list[list]:
             """The columns of the ways on past sequence s, `depth` sequences to go.

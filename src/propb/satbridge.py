@@ -93,7 +93,8 @@ class _Dpll:
     literals not yet false, at first the bit-sliced sum of the literal
     masks.  Only unsatisfied clauses' counts are kept current; nothing reads
     the others.  No operation of the search makes a negative int.  A
-    decision snapshots `unsat`, `planes` and the per-variable `value`.
+    decision snapshots `unsat`, `planes` and the per-variable `value`, an
+    array of one byte a variable, so each open decision's copy is small.
     """
 
     def __init__(self, cnf: Cnf):
@@ -124,7 +125,8 @@ class _Dpll:
             else:
                 planes.append(carry)
         self.unsat, self.planes = (1 << size) - 1, tuple(planes)
-        self.value = [0] * (n + 1)  # 0 free, +1 true, -1 false
+        from array import array  # only the solver needs it
+        self.value = array("b", bytes(n + 1))  # 0 free, +1 true, -1 false
 
     def _propagate(self, lit: int) -> int | None:
         """Make lit true (none if 0), then close under units and lowest pure literals.
@@ -193,7 +195,7 @@ class _Dpll:
         empty stack means unsatisfiable.  Depth is bounded by the variable
         count, not by Python's recursion limit.
         """
-        stack: list[tuple[int, int, tuple[int, ...], list[int]]] = []
+        stack: list[tuple[int, int, tuple[int, ...], Sequence[int]]] = []
         branch = self._propagate(0)
         while branch != 0:
             if branch is None:

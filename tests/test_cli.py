@@ -123,9 +123,9 @@ def test_edge_cap_environment_variable(capsys, monkeypatch):
 
 @pytest.mark.parametrize("k,l", [(2, 1), (3, 1), (2, 2), (4, 2), (3, 3), (6, 2)])
 def test_gen_stdout_equals_the_per_edge_rendering(capsys, k, l):
-    # gen renders parts once per subset and prints whole runs at a time; its
+    # gen renders each part once per run and prints whole groups at a time; its
     # text must still be that of each edge rendered on its own, including
-    # at run boundaries, at the end and for l = 1, where no head part exists.
+    # at group boundaries, at the end and for l = 1, where no head part exists.
     p = validate_params(k, l)
     lines = [construction.edge_list_header(p, counting.edge_count(p))]
     lines += map(construction.edge_line, construction.iter_edges(p))
@@ -236,6 +236,29 @@ def test_gen_6_3_stdout_is_pinned(extra, digest):
     sink = _Sha256Sink()
     with contextlib.redirect_stdout(sink):
         assert cli.main(["gen", "--k", "6", "--l", "3", *extra]) == 0
+    assert sink.hash.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "extra,digest",
+    [
+        ((), "970254cff3df78d230d7557f50f0ec3c45967b577b2c656e467d3e33d5bceaf0"),
+        (("--format", "dimacs"), "cc655c34c0a1b066001cd3b780d44e880319e1a11bb763260983bb03bb39218f"),
+        (("--dedup",), "e2302c46e33bd4312e1992a6d2a74076b6394f6dfb66479b3ed151d8c0591d3c"),
+        (
+            ("--dedup", "--format", "dimacs"),
+            "c473762cfbf5e85ec0a0a1a9a4176117b9cfb11dcb865a3e1bba0ccc4793bb42",
+        ),
+    ],
+    ids=["edges", "dimacs", "dedup-edges", "dedup-dimacs"],
+)
+def test_gen_7_1_stdout_is_pinned(extra, digest):
+    # One sequence: the multiset is one table per shift, the distinct edges
+    # are its 3,432 blocks in groups of a fixed number of blocks, the last
+    # group partial.
+    sink = _Sha256Sink()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["gen", "--k", "7", "--l", "1", *extra]) == 0
     assert sink.hash.hexdigest() == digest
 
 

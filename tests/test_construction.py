@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import math
@@ -153,7 +154,9 @@ def test_dedup_small_cases():
     assert len(d.edges) == 48
 
 
-@pytest.mark.parametrize("k,l", [(2, 1), (3, 1), (2, 2), (4, 2), (6, 2), (3, 3), (6, 3)])
+# (7,1) has 3,432 distinct edges, so its groups of blocks end past the first
+# thousand and one partial group closes the stream.
+@pytest.mark.parametrize("k,l", [(2, 1), (3, 1), (7, 1), (2, 2), (4, 2), (6, 2), (3, 3), (6, 3)])
 def test_distinct_edges_are_the_deduplicated_multiset(k, l):
     p = validate_params(k, l)
     expected = dedup(build_full(p, None)).edges
@@ -258,3 +261,21 @@ def test_edge_chunks_hold_one_shift_tuple_each(k, l, render, lines_per_edge):
     assert len(chunks) == math.comb(2 * l - 1, l) * p.seq_len**l
     blocks = math.comb(p.seq_len, p.block_size)
     assert {chunk.count("\n") for chunk in chunks} == {lines_per_edge * blocks}
+
+
+@pytest.mark.parametrize("k,l", [(8, 2), (6, 3)])
+def test_edge_chunks_render_each_sequence_block_once(k, l):
+    # Each of the 2l - 1 sequences is rendered once as a non-last chosen
+    # sequence (all but the last one) and once as the last (all but the
+    # first l - 1): 3l - 2 tables of C(seq_len, k/l) blocks for the whole run.
+    p = validate_params(k, l)
+    calls = []
+
+    def render(vertices, last):
+        calls.append((tuple(vertices), last))
+        return ("\n",)
+
+    collections.deque(iter_edge_chunks(p, render), maxlen=0)
+    assert len(calls) == (3 * l - 2) * math.comb(p.seq_len, p.block_size)
+    assert len(calls) == {(8, 2): 7280, (6, 3): 840}[k, l]
+    assert len(set(calls)) == len(calls)

@@ -1,7 +1,11 @@
 import hashlib
 import io
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from helpers import (
     parse_dimacs,
     truth_table_satisfiable,
 )
+from propb import satbridge
 from propb.construction import (
     Hypergraph,
     build_full,
@@ -243,6 +248,38 @@ def test_dpll_search_depth_is_not_bounded_by_recursion():
     result = dpll_satisfiable(cnf)
     assert result.satisfiable and result.decisions == 1200
     assert assignment_satisfies(cnf, result.model)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux /proc")
+def test_dpll_open_decisions_hold_one_byte_per_variable():
+    # The same 1200 nested decisions over 2400 variables: each open decision
+    # keeps its own copy of the values, 1200 copies at the deepest point.
+    # At one byte a value they take about 3 MB; at a pointer a value, 23 MB.
+    # The peak is read in a fresh interpreter, before and after the solve.
+    script = """
+from propb.satbridge import Cnf, dpll_satisfiable
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+clauses = []
+for i in range(1200):
+    clauses += [(2 * i + 1, 2 * i + 2), (-2 * i - 1, -2 * i - 2)]
+cnf = Cnf(2400, tuple(clauses))
+before = peak_kb()
+assert dpll_satisfiable(cnf).decisions == 1200
+print(peak_kb() - before)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(Path(satbridge.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 12_000  # kB
 
 
 def test_dpll_unsat_search_tree_is_complete(monkeypatch):
