@@ -129,6 +129,8 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     # The count is at least seq_len^l >= 2^(l*l): refuse before computing it.
     if params.l * params.l >= COUNT_MAX_BITS:
         return _refuse(out, _too_long(f"more than {params.l * params.l}"))
+    if params.block_size > sys.maxsize:  # too large for math.comb; the count is at least 2^lo
+        return _refuse(out, _too_long(f"more than {int(counting._log2_count_range(params.k, params.l)[0])}"))
     count = counting.edge_count(params)
     if count.bit_length() > COUNT_MAX_BITS:
         return _refuse(out, _too_long(count.bit_length()))
@@ -173,9 +175,16 @@ def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
             out, f"the shift search takes {steps} steps, above the witness limit of {WITNESS_MAX_SHIFT_STEPS}"
         )
     if args.coloring is not None:
+        n, text = params.num_vertices, ""
         try:
             with open(args.coloring, "r", encoding="ascii") as handle:
-                text = handle.read()
+                # Past leading whitespace come at most n entries, then only
+                # whitespace: n + 1 characters are enough to tell.
+                while chunk := handle.read(1 << 16):
+                    text = (text + chunk).lstrip()
+                    if len(text.rstrip()) > n:
+                        raise ColoringError(f"coloring has more than {n} entries, need {n}")
+                    text = text[: n + 1]
         except (OSError, UnicodeDecodeError) as exc:
             raise ParameterError(f"cannot read the coloring file: {exc}") from exc
         coloring = parse_coloring(params, text)

@@ -15,8 +15,8 @@ false.  An assignment updates the ints with a handful of bitwise
 operations, none making a negative int.  A decision saves the whole state
 as one snapshot (the ints by reference, the values as a copy), and a
 backtrack restores it.  Its set-up is one pass over the literal
-occurrences.  It is deterministic, complete at desk scale, and verifies any
-model before reporting it.
+occurrences and the one check of the clause set, as Cnf is a plain record.
+It is deterministic, complete at desk scale, and verifies any model.
 """
 
 from __future__ import annotations
@@ -30,33 +30,11 @@ from .params import Params
 Clause = tuple[int, ...]
 
 
-class Cnf:
-    """Clauses over variables 1..variable_count, checked on construction; equal by value."""
+class Cnf(NamedTuple):
+    """Clauses over variables 1..variable_count; dpll_satisfiable checks them."""
 
-    def __init__(self, variable_count: int, clauses: tuple[Clause, ...]):
-        if variable_count < 0:
-            raise ValueError(f"negative variable count {variable_count}")
-        for clause in clauses:
-            seen = set()
-            for lit in clause:
-                if lit == 0 or abs(lit) > variable_count:
-                    raise ValueError(f"literal {lit} invalid for {variable_count} variables")
-                if -lit in seen:
-                    raise ValueError(f"clause {clause} contains both {lit} and {-lit}")
-                seen.add(lit)
-        self.variable_count = variable_count
-        self.clauses = clauses
-
-    @classmethod
-    def _unchecked(cls, variable_count: int, clauses: tuple[Clause, ...]) -> Cnf:
-        cnf = cls.__new__(cls)  # for callers that build only valid clauses
-        cnf.variable_count, cnf.clauses = variable_count, clauses
-        return cnf
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cnf):
-            return NotImplemented
-        return (self.variable_count, self.clauses) == (other.variable_count, other.clauses)
+    variable_count: int
+    clauses: tuple[Clause, ...]
 
 
 class SolveResult(NamedTuple):
@@ -68,14 +46,14 @@ class SolveResult(NamedTuple):
 def hypergraph_to_cnf(hypergraph: Hypergraph) -> Cnf:
     """Two clauses per edge, in edge order: all-plain first, then all-negated."""
     n, edges = hypergraph.vertex_count, hypergraph.edges
-    vertices = set(chain.from_iterable(edges))  # monotone clauses need no other check
+    vertices = set(chain.from_iterable(edges))  # the solver passes vertex -5: literals -4, +4
     if vertices and (min(vertices) < 0 or max(vertices) >= n):
         edge = next(e for e in edges if e and (min(e) < 0 or max(e) >= n))
         raise ValueError(f"edge {edge} has a vertex outside 0..{n - 1}")
     clauses: list[Clause] = [()] * (2 * len(edges))
     clauses[0::2] = map(tuple, map(map, repeat((1).__add__), edges))
     clauses[1::2] = map(tuple, map(map, repeat((-1).__sub__), edges))
-    return Cnf._unchecked(n, tuple(clauses))
+    return Cnf(n, tuple(clauses))
 
 
 def assignment_satisfies(cnf: Cnf, assignment: dict[int, bool]) -> bool:
@@ -88,13 +66,14 @@ class _Dpll:
     """DPLL over bitmasks of clause indices.
 
     Bit i of `pos[v]` (`neg[v]`) is set when clause i holds v (-v), never
-    both: `Cnf` refuses complementary pairs.  `unsat` holds the clauses with
-    no true literal, and `planes[j]` holds bit j of each clause's count of
-    literals not yet false, at first the bit-sliced sum of the literal
-    masks.  Only unsatisfied clauses' counts are kept current; nothing reads
-    the others.  No operation of the search makes a negative int.  A
-    decision snapshots `unsat`, `planes` and the per-variable `value`, an
-    array of one byte a variable, so each open decision's copy is small.
+    both: the set-up raises ValueError on a negative variable count, a
+    literal 0 or beyond it, and a clause holding a literal and its negation.
+    `unsat` holds the clauses with no true literal, and `planes[j]` holds bit
+    j of each clause's count of literals not yet false, at first the
+    bit-sliced sum of the literal masks.  Only unsatisfied clauses' counts
+    are kept current; nothing reads the others.  No operation of the search
+    makes a negative int.  A decision snapshots `unsat`, `planes` and the
+    per-variable `value`, one byte a variable, so each copy is small.
     """
 
     def __init__(self, cnf: Cnf):
@@ -102,22 +81,31 @@ class _Dpll:
         # the distinct set, so each count starts at its clause's true width.
         clauses = list(dict.fromkeys(map(tuple, map(sorted, map(set, cnf.clauses)))))
         self.nvars = n = cnf.variable_count
+        if n < 0:
+            raise ValueError(f"negative variable count {n}")
         self.clauses = clauses
         self.decisions = 0
         size = len(clauses)
-        # Literal lit's bitmap is bits[lit]: -v indexes from the end.
-        bits = [bytearray((size + 7) >> 3) for _ in range(2 * n + 1)]
-        for ci, clause in enumerate(clauses):
-            byte, bit = ci >> 3, 1 << (ci & 7)
-            for lit in clause:
-                bits[lit][byte] |= bit
-        masks = [int.from_bytes(b, "little") for b in bits]
-        self.pos = masks[: n + 1]
-        self.neg = [masks[-v] for v in range(n + 1)]
+        # Literal lit's bitmap is bits[lit]: 0 and literals beyond n have none.
+        bits = {lit: bytearray((size + 7) >> 3) for lit in range(-n, n + 1) if lit}
+        try:
+            for ci, clause in enumerate(clauses):
+                byte, bit = ci >> 3, 1 << (ci & 7)
+                for lit in clause:
+                    bits[lit][byte] |= bit
+        except KeyError as exc:
+            raise ValueError(f"literal {exc.args[0]} invalid for {n} variables") from None
+        masks = {lit: int.from_bytes(b, "little") for lit, b in bits.items()}
+        self.pos = [0] + [masks[v] for v in range(1, n + 1)]  # index 0 unused
+        self.neg = [0] + [masks[-v] for v in range(1, n + 1)]
+        for v in range(1, n + 1):
+            if both := self.pos[v] & self.neg[v]:
+                clause = clauses[(both ^ (both - 1)).bit_length() - 1]
+                raise ValueError(f"clause {clause} contains both {v} and {-v}")
         # A variable's score never exceeds its static occurrence count.
         self.static = [(p | m).bit_count() for p, m in zip(self.pos, self.neg)]
         planes = [0]  # add the literal masks, carrying up: each clause's width
-        for carry in masks:
+        for carry in masks.values():
             for j, plane in enumerate(planes):
                 planes[j], carry = plane ^ carry, plane & carry
                 if not carry:

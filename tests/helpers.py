@@ -199,7 +199,12 @@ class DimacsError(ValueError):
 
 
 def parse_dimacs(text: str) -> Cnf:
-    """Read DIMACS CNF, tolerating comment lines and multi-line clauses."""
+    """Read DIMACS CNF, tolerating comment lines and multi-line clauses.
+
+    Refuses, as DimacsError, what is no clause set over the header's
+    variables: a literal beyond them, or a literal and its negation in one
+    clause.
+    """
     header: tuple[int, int] | None = None
     clauses: list[Clause] = []
     pending: list[int] = []
@@ -237,7 +242,12 @@ def parse_dimacs(text: str) -> Cnf:
     variable_count, clause_count = header
     if len(clauses) != clause_count:
         raise DimacsError(f"header promises {clause_count} clauses, found {len(clauses)}")
-    try:
-        return Cnf(variable_count, tuple(clauses))
-    except ValueError as exc:
-        raise DimacsError(str(exc)) from exc
+    if variable_count < 0:
+        raise DimacsError(f"negative variable count {variable_count}")
+    for clause in clauses:
+        for lit in clause:
+            if abs(lit) > variable_count:
+                raise DimacsError(f"literal {lit} invalid for {variable_count} variables")
+            if -lit in clause:
+                raise DimacsError(f"clause {clause} contains both {lit} and {-lit}")
+    return Cnf(variable_count, tuple(clauses))

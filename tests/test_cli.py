@@ -380,6 +380,66 @@ def test_counts_too_long_to_print_are_refused(capsys, monkeypatch):
     assert "10007 bits" in out
 
 
+def run_limited(*argv):
+    """A fresh `python -m propb.cli` under a 1 GB address-space limit: exit code, stdout, stderr, seconds."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "propb.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=limit,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+def test_count_past_the_binomial_limit_is_refused_in_start_up_time():
+    # A block of 10^20 vertices is beyond math.comb (sys.maxsize), which
+    # once ended this in an OverflowError traceback.
+    code, out, err, seconds = run_limited("count", "--k", str(10**20), "--l", "1")
+    bits = int(counting._log2_count_range(10**20, 1)[0])
+    assert (code, err) == (3, "")
+    assert out == f"refusing: {cli._too_long(f'more than {bits}')}\n"
+    assert bits > 2 * 10**20 - 10**12
+    assert seconds < 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_coloring_file_is_refused_in_bounded_memory():
+    code, out, err, seconds = run_limited("witness", "--k", "8", "--l", "2", "--coloring", "/dev/zero")
+    assert (code, out) == (2, "")
+    assert err == "error: coloring has more than 48 entries, need 48\n"
+    assert seconds < 1
+
+
+def test_witness_reads_a_coloring_across_chunks(capsys, tmp_path):
+    coloring, path = "RRRRBBBBRRRR", tmp_path / "coloring.txt"
+    path.write_text(coloring + "\n")
+    expected = run(capsys, "witness", "--k", "2", "--l", "2", "--coloring", str(path))
+    assert expected[0] == 0
+    # Whitespace around the entries is free, however much of it there is.
+    path.write_text(" \n" * 70_000 + coloring + "\n" * 200_000)
+    assert run(capsys, "witness", "--k", "2", "--l", "2", "--coloring", str(path)) == expected
+    # One entry too many, after whitespace that fills more than a chunk, or
+    # after a single space.
+    for tail in ("\n" * 100_000 + "R", " B"):
+        path.write_text(coloring + tail)
+        code, out, err = run(capsys, "witness", "--k", "2", "--l", "2", "--coloring", str(path))
+        assert (code, out, err) == (2, "", "error: coloring has more than 12 entries, need 12\n")
+    # Short colorings keep their exact entry count, inner whitespace included.
+    path.write_text("RR" + " " * 5 + "B\n")
+    assert run(capsys, "witness", "--k", "2", "--l", "2", "--coloring", str(path))[2] == (
+        "error: coloring has 8 entries, need 12\n"
+    )
+
+
 def test_count_and_bound_compute_no_count_they_can_rule_out(capsys, monkeypatch):
     # Every count is at least 2^(l*l), so no count with l*l >= COUNT_MAX_BITS
     # can be printed, nor be the smallest for best_l; none is computed.

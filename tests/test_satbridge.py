@@ -44,15 +44,20 @@ from propb.witness import find_proper_coloring
 
 
 def test_cnf_validation():
-    Cnf(2, ((1, 2), (-1, -2)))
-    with pytest.raises(ValueError):
-        Cnf(2, ((1, 3),))  # literal out of range
-    with pytest.raises(ValueError):
-        Cnf(2, ((1, 0),))  # zero literal
-    with pytest.raises(ValueError):
-        Cnf(2, ((1, -1),))  # opposite literals in one clause
-    with pytest.raises(ValueError):
-        Cnf(-1, ())
+    # Cnf is a plain record; the solver's set-up refuses an invalid clause set.
+    assert dpll_satisfiable(Cnf(2, ((1, 2), (-1, -2)))).satisfiable
+    invalid = [
+        Cnf(2, ((1, 3),)),  # literal out of range
+        Cnf(2, ((1, 0),)),  # zero literal
+        Cnf(2, ((1, -1),)),  # opposite literals in one clause
+        Cnf(-1, ()),
+        # Just past the range: a list of bitmaps indexed by literal reads 3 as -2, -3 as +2.
+        Cnf(2, ((3,),)),
+        Cnf(2, ((-3,),)),
+    ]
+    for cnf in invalid:
+        with pytest.raises(ValueError):
+            dpll_satisfiable(cnf)
 
 
 def test_cnf_compares_by_value():
@@ -61,7 +66,6 @@ def test_cnf_compares_by_value():
     assert cnf != Cnf(3, ((1, 2), (-1, -2)))
     assert cnf != Cnf(2, ((1, 2),))
     assert cnf != Cnf(2, ((-1, -2), (1, 2)))
-    assert cnf != (2, ((1, 2), (-1, -2)))
 
 
 def test_solve_result_fields_by_keyword():
