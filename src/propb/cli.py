@@ -5,13 +5,12 @@ analytic bound), bound (sweep over the valid l values of a k), witness
 (monochromatic edge for a coloring), solve (DPLL on the dual CNF), and
 verify-small (exhaustive non-2-colorability check).
 
-gen takes its renderer and header line from one format table, FORMATS:
-it writes the header, with the multiset count or, for --dedup, the
-closed-form distinct count, then the chunks of iter_edge_chunks or
-iter_distinct_chunks.  Besides one chunk and every sequence's parts,
-rendered once, it holds one sequence subset's shifted tables, or for
---dedup the later columns of every translation orbit for the current lowest
-sequence, as references to those parts.
+gen takes its renderer and header line from one format table, FORMATS, and
+writes the header (the multiset or, for --dedup, the closed-form distinct
+count), then the chunks of iter_edge_chunks or iter_distinct_chunks.  Beside
+one chunk and the parts (vertex names and block lines rendered once), it
+holds one subset's shifted tables and the buffer they are interleaved in,
+or for --dedup the later columns of each orbit for the current lowest sequence.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses

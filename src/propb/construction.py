@@ -21,21 +21,18 @@ distinct_hypergraph holds that stream, already in dedup()'s order.
 
 Both engines yield groups of one shape: a list of part columns, column c
 holding, edge by edge, the `render` parts of each edge's c-th chosen
-sequence (_tuple_parts: its vertex tuple; edge_line_parts: its share of an
-edge line; satbridge.dual_clause_parts: its shares of the plain and the
-negated DIMACS clause).  _join adds a group's columns into edge tuples, for
-iter_edges and iter_distinct_edges; _interleave joins part i of each column
-in turn into one chunk of text, for iter_edge_chunks and
-iter_distinct_chunks.  Both engines take every part from _tables, which
-renders each (sequence, block) once per run.  The multiset engine, _groups,
-yields one group per (sequence subset, shift tuple): a shifted table per
-chosen sequence.  The distinct engine, _distinct_groups, yields one per
-(lowest sequence, block): the head's parts repeated, then the later
-columns, built once per translation orbit of the block by one recursion:
-for each next sequence t, the parts of the orbit's blocks on t, each
-repeated once per way on past t, then the columns of those ways, built the
-same way, repeated once per block.  At l = 1 a group is _L1_GROUP_BLOCKS
-blocks, rendered as they stream.
+sequence.  _tables renders every part once per run, from each sequence's
+vertex names rendered once: a text render gets a block's edge_line and adds
+its tail (and, for satbridge.dual_clause_parts, a negated copy).  _join adds
+a group's columns into edge tuples, for iter_edges and iter_distinct_edges;
+_interleave joins part i of each column in turn into one chunk of text, for
+iter_distinct_chunks, and iter_edge_chunks into one buffer, in which only
+the columns whose shift changed are rewritten.  The multiset engine,
+_groups, yields one group per (sequence subset, shift tuple): a shifted
+table per chosen sequence.  The distinct engine, _distinct_groups, yields
+one per (lowest sequence, block): the head's parts repeated, then the later
+columns, built once per translation orbit of the block by one recursion.
+At l = 1 a group is _L1_GROUP_BLOCKS blocks, named as they stream.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers;
@@ -47,14 +44,14 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cached_property
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from . import counting
 from .params import Params
 
 Edge = tuple[int, ...]
-# render(vertices, last): a block's parts of an edge, see _tables.
-Render = Callable[[Sequence[int], bool], tuple]
+# render(block, last): a block's parts of an edge, the block named by _named.
+Render = Callable[[Any, bool], tuple]
 
 DEFAULT_EDGE_CAP = 10_000_000
 # Blocks per distinct group at l = 1: bounds a group's text, shares its write.
@@ -92,8 +89,15 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
+def _named(render: Render, seq: int, kp: int, blocks: Iterable[tuple[int, ...]]) -> Iterator:
+    """The blocks of positions on seq as edge_lines joined from names made once (vertex tuples for _tuple_parts)."""
+    vertices = range(seq * kp, (seq + 1) * kp)
+    names, join = (vertices, tuple) if render is _tuple_parts else (edge_line(vertices).split(" "), " ".join)
+    return (join(map(names.__getitem__, block)) for block in blocks)
+
+
 def _tables(params: Params, render: Render) -> tuple[list[int], dict[int, list], dict[int, list], int]:
-    """step, inner, final and the parts per block: each sequence's blocks rendered once.
+    """step, inner, final and the parts per block: each (sequence, block) named once.
 
     Blocks are in combinations order; block i translated by +1 is block
     step[i].  inner[seq] (final[seq]) holds every block's `render` parts in
@@ -104,17 +108,19 @@ def _tables(params: Params, render: Render) -> tuple[list[int], dict[int, list],
     combos = list(itertools.combinations(range(kp), params.block_size))
     index = {block: i for i, block in enumerate(combos)}
     step = [index[tuple(sorted([(r + 1) % kp for r in block]))] for block in combos]
-
-    def rendered(seq: int, last: bool) -> list:
-        return [part for block in combos for part in render([seq * kp + r for r in block], last)]
-
-    inner = {seq: rendered(seq, False) for seq in range(n - 1)}
-    final = {seq: rendered(seq, True) for seq in range(l - 1, n)}
+    inner, final = {}, {}
+    for seq in range(n):
+        blocks = list(_named(render, seq, kp, combos))
+        if seq < n - 1:
+            inner[seq] = [part for block in blocks for part in render(block, False)]
+        if seq >= l - 1:
+            final[seq] = [part for block in blocks for part in render(block, True)]
+        del blocks  # freed before the next sequence is named
     return step, inner, final, len(final[n - 1]) // len(combos)
 
 
-def _tuple_parts(vertices: Sequence[int], last: bool) -> tuple[Edge]:
-    return (tuple(vertices),)
+def _tuple_parts(vertices: Edge, last: bool) -> tuple[Edge]:
+    return (vertices,)
 
 
 def _groups(params: Params, render: Render) -> Iterator[Sequence[list]]:
@@ -126,16 +132,13 @@ def _groups(params: Params, render: Render) -> Iterator[Sequence[list]]:
     inner, or for the last chosen sequence of final.
     """
     step, inner, final, width = _tables(params, render)
-    wide_step = [width * s + j for s in step for j in range(width)]
+    wide_step = operator.itemgetter(*[width * s + j for s in step for j in range(width)])
 
-    def shifted(table: list) -> list[list]:
-        per_shift = [table]
-        for _ in range(params.seq_len - 1):
-            per_shift.append(list(map(per_shift[-1].__getitem__, wide_step)))
-        return per_shift
+    def shifted(table: list) -> list[Sequence]:  # per shift s, table's blocks translated by s
+        return list(itertools.accumulate(range(params.seq_len - 1), lambda t, _: wide_step(t), initial=table))
 
     for *heads, last in itertools.combinations(range(params.num_sequences), params.l):
-        # Bound to no name, and the callers' map holds no group between calls,
+        # Bound to no name, and callers keep at most the last group's columns,
         # so only one subset's shifted tables are alive at a time.
         yield from itertools.product(*[shifted(inner[seq]) for seq in heads], shifted(final[last]))
 
@@ -166,19 +169,25 @@ def iter_edges(params: Params) -> Iterator[Edge]:
     return itertools.chain.from_iterable(map(_join, _groups(params, _tuple_parts)))
 
 
-def edge_line_parts(vertices: Sequence[int], last: bool) -> tuple[str]:
-    """A block's share of an edge_line, ending in a space or, if last, a newline."""
-    return (edge_line(vertices) + ("\n" if last else " "),)
+def edge_line_parts(line: str, last: bool) -> tuple[str]:
+    """A block's share of an edge_line, its line ending in a space or, if last, a newline."""
+    return (line + ("\n" if last else " "),)
 
 
 def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
     """The text of the edges of iter_edges, in order, C(seq_len, block_size) edges per chunk.
 
-    An edge's text joins its blocks' `render` parts (edge_line_parts: its
-    edge_line and a newline); a chunk is one (sequence subset, shift tuple)
-    group.  Only one subset's tables and one chunk are alive at a time.
+    A chunk is one (sequence subset, shift tuple) group, interleaved as by
+    _interleave into one buffer that keeps the columns whose shift did not
+    change.  Only one subset's tables, the buffer and one chunk are alive at a time.
     """
-    return map(_interleave, _groups(params, render))
+    l, text, shown = params.l, [], [None] * params.l
+    for columns in _groups(params, render):
+        text = text or [""] * (l * len(columns[0]))
+        for c, column in enumerate(columns):
+            if column is not shown[c]:  # mostly the last column only
+                text[c::l] = shown[c] = column
+        yield "".join(text)
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:
@@ -248,7 +257,7 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
     n, l = params.num_sequences, params.l
     count = 0
     if l == 1:
-        blocks = itertools.combinations(range(params.seq_len), params.block_size)
+        blocks = _named(render, 0, params.seq_len, itertools.combinations(range(params.seq_len), params.block_size))
         while group := list(itertools.islice(blocks, _L1_GROUP_BLOCKS)):
             count += len(group)
             yield [[part for block in group for part in render(block, True)]]

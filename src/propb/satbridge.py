@@ -14,8 +14,8 @@ unsatisfied clauses and, bit-sliced, each clause's count of literals not yet
 false.  An assignment updates the ints with a handful of bitwise
 operations, none making a negative int.  A decision saves the whole state
 as one snapshot (the ints by reference, the values as a copy), and a
-backtrack restores it.  Its set-up is one pass over the literal
-occurrences and the one check of the clause set, as Cnf is a plain record.
+backtrack restores it.  Its set-up is one pass over the literal occurrences
+(two if a clause repeats a literal) and the one check of the clause set.
 It is deterministic, complete at desk scale, and verifies any model.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
-from .construction import Hypergraph, edge_line
+from .construction import Hypergraph
 from .params import Params
 
 Clause = tuple[int, ...]
@@ -77,25 +77,27 @@ class _Dpll:
     """
 
     def __init__(self, cnf: Cnf):
-        # Repeated literals and duplicate clauses carry no information; solve
-        # the distinct set, so each count starts at its clause's true width.
-        clauses = list(dict.fromkeys(map(tuple, map(sorted, map(set, cnf.clauses)))))
+        # Solve the distinct set, so each count starts at its clause's true width:
+        # sorted clauses, or sorted sets once the masks show a repeated literal.
         self.nvars = n = cnf.variable_count
         if n < 0:
             raise ValueError(f"negative variable count {n}")
+        for canonical in map(sorted, cnf.clauses), map(sorted, map(set, cnf.clauses)):
+            clauses = list(dict.fromkeys(map(tuple, canonical)))
+            # Literal lit's bitmap is bits[lit]: 0 and literals beyond n have none.
+            bits = {lit: bytearray((len(clauses) + 7) >> 3) for lit in range(-n, n + 1) if lit}
+            try:
+                for ci, clause in enumerate(clauses):
+                    byte, bit = ci >> 3, 1 << (ci & 7)
+                    for lit in clause:
+                        bits[lit][byte] |= bit
+            except KeyError as exc:
+                raise ValueError(f"literal {exc.args[0]} invalid for {n} variables") from None
+            masks = {lit: int.from_bytes(b, "little") for lit, b in bits.items()}
+            if sum(map(len, clauses)) == sum(mask.bit_count() for mask in masks.values()):
+                break
         self.clauses = clauses
         self.decisions = 0
-        size = len(clauses)
-        # Literal lit's bitmap is bits[lit]: 0 and literals beyond n have none.
-        bits = {lit: bytearray((size + 7) >> 3) for lit in range(-n, n + 1) if lit}
-        try:
-            for ci, clause in enumerate(clauses):
-                byte, bit = ci >> 3, 1 << (ci & 7)
-                for lit in clause:
-                    bits[lit][byte] |= bit
-        except KeyError as exc:
-            raise ValueError(f"literal {exc.args[0]} invalid for {n} variables") from None
-        masks = {lit: int.from_bytes(b, "little") for lit, b in bits.items()}
         self.pos = [0] + [masks[v] for v in range(1, n + 1)]  # index 0 unused
         self.neg = [0] + [masks[-v] for v in range(1, n + 1)]
         for v in range(1, n + 1):
@@ -112,7 +114,7 @@ class _Dpll:
                     break
             else:
                 planes.append(carry)
-        self.unsat, self.planes = (1 << size) - 1, tuple(planes)
+        self.unsat, self.planes = (1 << len(clauses)) - 1, tuple(planes)
         from array import array  # only the solver needs it
         self.value = array("b", bytes(n + 1))  # 0 free, +1 true, -1 false
 
@@ -209,12 +211,12 @@ def dpll_satisfiable(cnf: Cnf) -> SolveResult:
     return SolveResult(True, model, solver.decisions)
 
 
-def dual_clause_parts(vertices: Sequence[int], last: bool) -> tuple[str, str]:
+def dual_clause_parts(line: str, last: bool) -> tuple[str, str]:
     """A block's shares of its edge's two clauses, literals all plain, then all negated.
 
-    Each ends in a space or, if last, in the clause's closing ` 0` and newline.
+    Each is its edge_line (negated in the second), then a space or, if last, ` 0` and newline.
     """
-    line, tail = edge_line(vertices), " 0\n" if last else " "
+    tail = " 0\n" if last else " "
     return line + tail, "-" + line.replace(" ", " -") + tail
 
 

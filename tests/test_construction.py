@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helpers import naive_full_edges, naive_subset_edges
+from propb import construction
 from propb.construction import (
     EdgeCapError,
     Hypergraph,
@@ -264,18 +265,42 @@ def test_edge_chunks_hold_one_shift_tuple_each(k, l, render, lines_per_edge):
 
 
 @pytest.mark.parametrize("k,l", [(8, 2), (6, 3)])
-def test_edge_chunks_render_each_sequence_block_once(k, l):
+def test_edge_chunks_render_each_sequence_block_once(k, l, monkeypatch):
     # Each of the 2l - 1 sequences is rendered once as a non-last chosen
     # sequence (all but the last one) and once as the last (all but the
     # first l - 1): 3l - 2 tables of C(seq_len, k/l) blocks for the whole run.
+    # A block comes as its edge_line, joined from names that edge_line
+    # renders once per sequence, so once per vertex.
     p = validate_params(k, l)
-    calls = []
+    calls, named = [], []
 
-    def render(vertices, last):
-        calls.append((tuple(vertices), last))
+    def render(line, last):
+        calls.append((line, last))
         return ("\n",)
 
+    def naming(vertices):
+        named.append(tuple(vertices))
+        return edge_line(vertices)
+
+    monkeypatch.setattr(construction, "edge_line", naming)
     collections.deque(iter_edge_chunks(p, render), maxlen=0)
     assert len(calls) == (3 * l - 2) * math.comb(p.seq_len, p.block_size)
     assert len(calls) == {(8, 2): 7280, (6, 3): 840}[k, l]
     assert len(set(calls)) == len(calls)
+    kp = p.seq_len
+    assert named == [tuple(range(seq * kp, (seq + 1) * kp)) for seq in range(p.num_sequences)]
+    blocks = itertools.combinations(range(kp), p.block_size)
+    lines = {edge_line([seq * kp + r for r in block]) for block in blocks for seq in range(p.num_sequences)}
+    assert {line for line, _ in calls} == lines
+
+
+@pytest.mark.parametrize("render", [edge_line_parts, dual_clause_parts])
+def test_edge_chunks_at_l_4_equal_the_per_edge_rendering(render):
+    # The chunks are joined from one buffer in which only the columns whose
+    # shift changed are rewritten.  The first 70,000 of (4,4) (16 edges each)
+    # span 4096 head shifts and cross into the second sequence subset, so
+    # every one of the four columns changes; they are held, not streamed.
+    p = validate_params(4, 4)
+    chunks = list(itertools.islice(iter_edge_chunks(p, render), 70_000))
+    texts = ("".join(render(edge_line(edge), True)) for edge in iter_edges(p))
+    assert chunks == ["".join(itertools.islice(texts, 16)) for _ in chunks]

@@ -183,6 +183,20 @@ def test_dpll_repeated_literals():
     assert assignment_satisfies(sat, result.model)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dpll_clauses_are_the_distinct_literal_sets(data):
+    # Set-up sorts each clause and calls set() only when some clause repeats
+    # a literal; either way its clauses are the distinct literal sets, in order.
+    nvars = data.draw(st.integers(1, 5))
+    literal = st.integers(1, nvars).flatmap(lambda v: st.sampled_from((v, -v)))
+    drawn = data.draw(st.lists(st.lists(literal, max_size=6), max_size=10))
+    clauses = [tuple(c) for c in drawn if not any(-u in c for u in c)]
+    permuted = [tuple(data.draw(st.permutations(c))) for c in clauses]
+    cnf = Cnf(nvars, tuple(clauses + permuted + [c + c[:1] for c in clauses if c]))
+    assert _Dpll(cnf).clauses == list(dict.fromkeys(tuple(sorted(set(c))) for c in cnf.clauses))
+
+
 def test_dpll_agrees_with_truth_table_on_random_cnfs():
     rng = random.Random(2024)
     for _ in range(200):
@@ -397,7 +411,7 @@ def test_streaming_writers_share_the_edge_line(pair, dedup_edges):
         h = dedup(h)
     # One edge per chunk, its only block the last, written as gen writes its chunks.
     out = io.StringIO()
-    chunks = ("".join(dual_clause_parts(edge, True)) for edge in h.edges)
+    chunks = ("".join(dual_clause_parts(edge_line(edge), True)) for edge in h.edges)
     out.write(dual_dimacs_header(h.params, len(h.edges)) + "\n")
     out.writelines(chunks)
     assert out.getvalue() == emit_dimacs(hypergraph_to_cnf(h))
