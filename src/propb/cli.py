@@ -8,9 +8,9 @@ verify-small (exhaustive non-2-colorability check).
 gen takes its renderer and header line from one format table, FORMATS, and
 writes the header (the multiset or, for --dedup, the closed-form distinct
 count), then the chunks of iter_edge_chunks or iter_distinct_chunks.  Beside
-one chunk and the parts (vertex names and block lines rendered once), it
-holds one subset's shifted tables and the buffer they are interleaved in,
-or for --dedup the later columns of each orbit for the current lowest sequence.
+one chunk, the buffer it is joined from and the parts (vertex names and
+block lines rendered once), it holds one subset's shifted tables or, for
+--dedup, the later columns of each orbit for the current lowest sequence.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
@@ -65,8 +65,8 @@ from .witness import (
     ColoringError,
     find_proper_coloring,
     find_witness,
-    parse_coloring,
     random_coloring,
+    read_coloring,
 )
 
 EXIT_OK = 0
@@ -174,19 +174,7 @@ def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
             out, f"the shift search takes {steps} steps, above the witness limit of {WITNESS_MAX_SHIFT_STEPS}"
         )
     if args.coloring is not None:
-        n, text = params.num_vertices, ""
-        try:
-            with open(args.coloring, "r", encoding="ascii") as handle:
-                # Past leading whitespace come at most n entries, then only
-                # whitespace: n + 1 characters are enough to tell.
-                while chunk := handle.read(1 << 16):
-                    text = (text + chunk).lstrip()
-                    if len(text.rstrip()) > n:
-                        raise ColoringError(f"coloring has more than {n} entries, need {n}")
-                    text = text[: n + 1]
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParameterError(f"cannot read the coloring file: {exc}") from exc
-        coloring = parse_coloring(params, text)
+        coloring = read_coloring(params, args.coloring)
     elif args.seed is not None:
         coloring = random_coloring(params, random.Random(args.seed))
     else:

@@ -25,9 +25,9 @@ sequence.  _tables renders every part once per run, from each sequence's
 vertex names rendered once: a text render gets a block's edge_line and adds
 its tail (and, for satbridge.dual_clause_parts, a negated copy).  _join adds
 a group's columns into edge tuples, for iter_edges and iter_distinct_edges;
-_interleave joins part i of each column in turn into one chunk of text, for
-iter_distinct_chunks, and iter_edge_chunks into one buffer, in which only
-the columns whose shift changed are rewritten.  The multiset engine,
+_chunks, for both text streams, puts part i of each column in turn in one
+buffer, rewriting only the columns that are not the objects it last took:
+unchanged shifts, or an orbit's shared later columns.  The multiset engine,
 _groups, yields one group per (sequence subset, shift tuple): a shifted
 table per chosen sequence.  The distinct engine, _distinct_groups, yields
 one per (lowest sequence, block): the head's parts repeated, then the later
@@ -151,17 +151,20 @@ def _join(columns: Sequence[list]) -> Iterable[Edge]:
     return edges
 
 
-def _interleave(columns: Sequence[list]) -> str:
-    """A group's text: part i of every column in turn, for each i, joined once.
+def _chunks(groups: Iterable[Sequence[list]], l: int) -> Iterator[str]:
+    """Each group's text: part i of every column in turn, for each i, joined once.
 
     With several parts per block (dual_clause_parts) that gives each edge's
-    part-0 text, then its part-1 text.
+    part-0 text, then its part-1 text.  A new group length renews the buffer and every column.
     """
-    l = len(columns)
-    text = [""] * (l * len(columns[0]))
-    for c, column in enumerate(columns):
-        text[c::l] = column
-    return "".join(text)
+    text, shown = [], [None] * l
+    for columns in groups:
+        if len(text) != l * len(columns[0]):
+            text = [""] * (l * len(columns[0]))
+        for c, column in enumerate(columns):
+            if column is not shown[c]:
+                text[c::l] = shown[c] = column
+        yield "".join(text)
 
 
 def iter_edges(params: Params) -> Iterator[Edge]:
@@ -177,17 +180,10 @@ def edge_line_parts(line: str, last: bool) -> tuple[str]:
 def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
     """The text of the edges of iter_edges, in order, C(seq_len, block_size) edges per chunk.
 
-    A chunk is one (sequence subset, shift tuple) group, interleaved as by
-    _interleave into one buffer that keeps the columns whose shift did not
-    change.  Only one subset's tables, the buffer and one chunk are alive at a time.
+    A chunk is one (sequence subset, shift tuple) group.  Only one subset's
+    tables, the buffer of _chunks and one chunk are alive at a time.
     """
-    l, text, shown = params.l, [], [None] * params.l
-    for columns in _groups(params, render):
-        text = text or [""] * (l * len(columns[0]))
-        for c, column in enumerate(columns):
-            if column is not shown[c]:  # mostly the last column only
-                text[c::l] = shown[c] = column
-        yield "".join(text)
+    return _chunks(_groups(params, render), params.l)
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:
@@ -308,10 +304,9 @@ def iter_distinct_edges(params: Params) -> Iterator[Edge]:
 def iter_distinct_chunks(params: Params, render: Render) -> Iterator[str]:
     """The text of iter_distinct_edges' edges, one chunk per (lowest sequence, block) group.
 
-    An edge's text joins its blocks' `render` parts.  Raises like
-    iter_distinct_edges.
+    An edge's text joins its blocks' `render` parts.  Raises like iter_distinct_edges.
     """
-    return map(_interleave, _distinct_groups(params, render))
+    return _chunks(_distinct_groups(params, render), params.l)
 
 
 def distinct_hypergraph(params: Params, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Hypergraph:

@@ -146,14 +146,14 @@ def _log2_count_range(k: int, l: int) -> tuple[float, float]:
     taken through lgamma and log2.
     """
     r = k // l
-    n = 2**l * r
+    log2_n = l + math.log2(r)  # n = 2^l * r is never built: it has about l bits
     x = 2.0**-l  # 0.0 once 2^-l underflows, where the factor below tends to 1
     factor = -math.log1p(-x) / x * (1 - x) if x else 1.0  # (2^l - 1) * ln(1/(1 - 2^-l))
     log_binomials = math.lgamma(2 * l) - math.lgamma(l + 1) - math.lgamma(l) + r * factor
-    hi = log_binomials / math.log(2) + r * l + l * math.log2(n)
+    hi = log_binomials / math.log(2) + r * l + l * log2_n
     # Widened far beyond the float rounding error, about 1e-15 of the value.
     margin = 4 + 1e-9 * hi
-    return hi - math.log2(n + 1) - margin, hi + margin
+    return hi - (log2_n + math.log1p(2.0**-log2_n) / math.log(2)) - margin, hi + margin
 
 
 def best_l(k: int) -> int:

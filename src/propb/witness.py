@@ -20,7 +20,7 @@ non-2-colorability that does not go through the dual CNF.
 
 Coloring representation: a string of 'R'/'B' of length num_vertices,
 indexed by the integer vertex encoding.  The coloring file format is that
-string on a single line.
+string on a single line; read_coloring reads it in bounded memory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import random
 from typing import NamedTuple, Sequence
 
 from .construction import Edge, Hypergraph, is_edge
-from .params import Params
+from .params import ParameterError, Params
 
 RED = "R"
 BLUE = "B"
@@ -66,6 +66,22 @@ def check_coloring(params: Params, coloring: Coloring) -> Coloring:
 def parse_coloring(params: Params, text: str) -> Coloring:
     """Read the one-line coloring file format (trailing whitespace tolerated)."""
     return check_coloring(params, text.strip())
+
+
+def read_coloring(params: Params, path: str) -> Coloring:
+    """parse_coloring of the file at `path`, read in chunks; ParameterError if it cannot be read as ASCII."""
+    n, text = params.num_vertices, ""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            # Past leading whitespace, n + 1 characters tell n entries from more.
+            while chunk := handle.read(1 << 16):
+                text = (text + chunk).lstrip()
+                if len(text.rstrip()) > n:
+                    raise ColoringError(f"coloring has more than {n} entries, need {n}")
+                text = text[: n + 1]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read the coloring file: {exc}") from exc
+    return parse_coloring(params, text)
 
 
 def random_coloring(params: Params, rng: random.Random) -> Coloring:

@@ -11,6 +11,7 @@ the tests use it.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import floor, log10, prod
 from typing import Iterable, Iterator, Sequence
@@ -40,6 +41,22 @@ def naive_full_edges(params: Params) -> list[tuple[int, ...]]:
     for chosen in itertools.combinations(range(params.num_sequences), params.l):
         edges.extend(naive_subset_edges(params, chosen))
     return edges
+
+
+def log2_count_range_by_int(k: int, l: int) -> tuple[float, float]:
+    """The log2 bracket of the edge count as first written, with seq_len = 2^l * k/l built as an int.
+
+    C(2l-1, l) * n^l * C(n, r), with 2^(nH)/(n+1) <= C(n, r) <= 2^(nH) for
+    nH = r*l + r*(2^l - 1)*log2(1/(1 - 2^-l)); only for moderate l.
+    """
+    r = k // l
+    n = 2**l * r
+    x = 2.0**-l
+    factor = -math.log1p(-x) / x * (1 - x) if x else 1.0
+    log_binomials = math.lgamma(2 * l) - math.lgamma(l + 1) - math.lgamma(l) + r * factor
+    hi = log_binomials / math.log(2) + r * l + l * math.log2(n)
+    margin = 4 + 1e-9 * hi
+    return hi - math.log2(n + 1) - margin, hi + margin
 
 
 def has_monochromatic_edge(coloring: str, edges: Iterable[tuple[int, ...]]) -> bool:

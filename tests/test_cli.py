@@ -411,6 +411,20 @@ def test_count_past_the_binomial_limit_is_refused_in_start_up_time():
     assert seconds < 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "--k", str(10**10)), ("solve", "--k", str(10**10)), ("gen", "--k", str(10**12)), ("count", "--k", str(10**12))],
+)
+def test_a_huge_k_without_l_is_refused_in_start_up_time(argv):
+    # best_l brackets every divisor's count, the divisor l = k too: the
+    # bracket once built 2^l * k/l as an int, and these ran for minutes.
+    code, out, err, seconds = run_limited(*argv)
+    line = out if argv[0] == "count" else err  # count refuses on stdout, like its other refusals
+    assert (code, out + err) == (3, line)
+    assert line.count("\n") == 1 and line.startswith(("refusing:", "error: construction would emit"))
+    assert seconds < 1
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
 def test_an_endless_coloring_file_is_refused_in_bounded_memory():
     code, out, err, seconds = run_limited("witness", "--k", "8", "--l", "2", "--coloring", "/dev/zero")

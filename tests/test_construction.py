@@ -18,6 +18,7 @@ from propb.construction import (
     edge_line_parts,
     edge_list_header,
     is_edge,
+    iter_distinct_chunks,
     iter_distinct_edges,
     iter_edge_chunks,
     iter_edges,
@@ -264,6 +265,19 @@ def test_edge_chunks_hold_one_shift_tuple_each(k, l, render, lines_per_edge):
     assert {chunk.count("\n") for chunk in chunks} == {lines_per_edge * blocks}
 
 
+@pytest.mark.parametrize("k,l", [(2, 1), (7, 1), (4, 2), (3, 3), (6, 2)])
+@pytest.mark.parametrize("render,lines_per_edge", [(edge_line_parts, 1), (dual_clause_parts, 2)])
+def test_distinct_chunks_hold_one_lowest_sequence_and_block_each(k, l, render, lines_per_edge):
+    # At l >= 2 one chunk per (lowest sequence, block): l lowest sequences of
+    # 2l - 1 leave room for the l - 1 later ones.  At l = 1 every block is an
+    # edge, 1024 to a chunk.
+    p = validate_params(k, l)
+    chunks = list(iter_distinct_chunks(p, render))
+    blocks = math.comb(p.seq_len, p.block_size)
+    assert len(chunks) == (l * blocks if l > 1 else -(-blocks // 1024))
+    assert sum(chunk.count("\n") for chunk in chunks) == lines_per_edge * distinct_edge_count(p)
+
+
 @pytest.mark.parametrize("k,l", [(8, 2), (6, 3)])
 def test_edge_chunks_render_each_sequence_block_once(k, l, monkeypatch):
     # Each of the 2l - 1 sequences is rendered once as a non-last chosen
@@ -304,3 +318,27 @@ def test_edge_chunks_at_l_4_equal_the_per_edge_rendering(render):
     chunks = list(itertools.islice(iter_edge_chunks(p, render), 70_000))
     texts = ("".join(render(edge_line(edge), True)) for edge in iter_edges(p))
     assert chunks == ["".join(itertools.islice(texts, 16)) for _ in chunks]
+    # The distinct chunks come from the same writer.  At (4,4) the 16 blocks
+    # are one orbit, so the first chunks (81,920 edges each) share their three
+    # later columns, and only the head column is rewritten.
+    assert_distinct_chunks_equal_the_per_edge_rendering(p, render, 3)
+
+
+@pytest.mark.parametrize("render", [edge_line_parts, dual_clause_parts])
+def test_distinct_chunks_at_8_2_equal_the_per_edge_rendering(render):
+    # Groups of 32, 16, 8 and 4 edges: the writer's buffer is resized, and
+    # the later column is kept across the blocks of an orbit.
+    p = validate_params(8, 2)
+    assert_distinct_chunks_equal_the_per_edge_rendering(p, render, None)
+
+
+def assert_distinct_chunks_equal_the_per_edge_rendering(p, render, count):
+    """The first `count` (None: all) chunks of iter_distinct_chunks against iter_distinct_edges, edge by edge."""
+    lines_per_edge = len(render("", True))
+    texts = ("".join(render(edge_line(edge), True)) for edge in iter_distinct_edges(p))
+    chunks = 0
+    for chunk in itertools.islice(iter_distinct_chunks(p, render), count):
+        lines = chunk.splitlines(keepends=True)  # compared as lists: a short report on a mismatch
+        assert lines == "".join(itertools.islice(texts, len(lines) // lines_per_edge)).splitlines(keepends=True)
+        chunks += 1
+    assert chunks == count or next(texts, None) is None

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -20,7 +21,7 @@ from propb.counting import (
     scientific,
     seq_len_divisors,
 )
-from helpers import binomial_upper_bound, scientific_by_integers
+from helpers import binomial_upper_bound, log2_count_range_by_int, scientific_by_integers
 from propb.params import ParameterError, validate_params
 
 
@@ -245,6 +246,24 @@ def test_the_exponent_falls_toward_one():
     exponents = [math.log2(edge_count(validate_params(k, best_l(k)))) / k for k in (2**j for j in range(1, 12))]
     assert all(a > b for a, b in zip(exponents, exponents[1:])), exponents
     assert exponents[-1] > 1, exponents
+
+
+def test_log2_count_range_bounds_agree_with_the_int_seq_len_bracket():
+    # The bracket takes log2(seq_len) as l + log2(k/l), and so never builds
+    # 2^l as an int; its integer parts are those of the bracket that did.
+    rng = random.Random(23)
+    ks = list(range(1, 200)) + rng.sample(range(200, 10**7), 300)
+    pairs = [(k, l) for k in ks for l in divisors(k) if l <= 4000]
+    for k, l in rng.sample(pairs, 1500):
+        ours, theirs = counting._log2_count_range(k, l), log2_count_range_by_int(k, l)
+        assert [int(end) for end in ours] == [int(end) for end in theirs], (k, l)
+
+
+def test_log2_count_range_brackets_the_exact_count():
+    for k, l in [(2, 1), (12, 3), (60, 5), (96, 8), (1000, 1), (4096, 16)]:
+        lo, hi = counting._log2_count_range(k, l)
+        bits = math.log2(edge_count(validate_params(k, l)))
+        assert lo <= bits <= hi
 
 
 def test_best_l_examples():
