@@ -31,10 +31,12 @@ early; 2 usage or parameter error, including a negative edge cap and an
 unreadable coloring file; 3 size refusal (edge cap, exhaustive-search
 limit, witness shift-search limit or exact-count printing limit; an
 edge-cap refusal gives a count past that limit in bits, and one past twice
-it as "more than 2^N", uncomputed); 4 verification failure, which would
-mean a bug in the construction.  The default edge cap of gen, solve and
-verify-small can be overridden with --edge-cap or the PROPB_EDGE_CAP
-environment variable.
+it as "more than 2^N", uncomputed; witness and verify-small print their
+number in full below 10^4300, else as "a N-bit number of", or as "more
+than 2^N" steps where seq_len is too long to square); 4 verification
+failure, which would mean a bug in the construction.  The default edge cap
+of gen, solve and verify-small can be overridden with --edge-cap or the
+PROPB_EDGE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -119,6 +121,11 @@ def _refuse(out: IO[str], reason: str) -> int:
     return EXIT_SIZE
 
 
+def _printable(n: int) -> str:
+    """n in full below 10^4300, where CPython 3.11 stops printing ints by default; else its bit count."""
+    return str(n) if n < 10**4300 else f"a {n.bit_length()}-bit number of"
+
+
 def _too_long(bits: int | str) -> str:
     return f"the exact edge count has {bits} bits, above the printing limit of {COUNT_MAX_BITS}"
 
@@ -168,11 +175,12 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    steps = params.l * params.seq_len**2
-    if steps > WITNESS_MAX_SHIFT_STEPS:
-        return _refuse(
-            out, f"the shift search takes {steps} steps, above the witness limit of {WITNESS_MAX_SHIFT_STEPS}"
-        )
+    # steps >= seq_len^2 >= 4^b, past 10^4300 from b = 7143 on: such a seq_len is not squared.
+    b = params.seq_len.bit_length() - 1
+    steps = params.l * params.seq_len**2 if b < 7143 else None
+    if steps is None or steps > WITNESS_MAX_SHIFT_STEPS:
+        amount = f"more than 2^{2 * b - 1}" if steps is None else _printable(steps)
+        return _refuse(out, f"the shift search takes {amount} steps, above the witness limit of {WITNESS_MAX_SHIFT_STEPS}")
     if args.coloring is not None:
         coloring = read_coloring(params, args.coloring)
     elif args.seed is not None:
@@ -209,7 +217,7 @@ def cmd_verify_small(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     if params.num_vertices > MAX_EXHAUSTIVE_VERTICES:
         return _refuse(
-            out, f"{params.num_vertices} vertices exceed the exhaustive limit of {MAX_EXHAUSTIVE_VERTICES}"
+            out, f"{_printable(params.num_vertices)} vertices exceed the exhaustive limit of {MAX_EXHAUSTIVE_VERTICES}"
         )
     proper = find_proper_coloring(distinct_hypergraph(params, args.edge_cap))
     checked = 2**params.num_vertices

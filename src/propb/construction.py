@@ -66,7 +66,6 @@ class EdgeCapError(RuntimeError):
         amount = expected if bits <= counting.COUNT_MAX_BITS else f"a {bits}-bit number of"
         super().__init__(f"construction would emit {amount} edges, above the cap of {cap}")
         self.expected = expected
-        self.cap = cap
 
 
 class Hypergraph:
@@ -79,10 +78,6 @@ class Hypergraph:
     def __init__(self, params: Params, edges: tuple[Edge, ...]):
         self.params = params
         self.edges = edges
-
-    @property
-    def vertex_count(self) -> int:
-        return self.params.num_vertices
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:

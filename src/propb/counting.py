@@ -48,9 +48,6 @@ class BoundValue(NamedTuple):
     lower: Fraction
     upper: Fraction
 
-    def __float__(self) -> float:
-        return float(self.upper)
-
     def certifies_at_most(self, quantity: int | Fraction) -> bool:
         """True only if `quantity <= true bound` is certain."""
         return quantity <= self.lower
@@ -74,19 +71,10 @@ def scientific(value: Fraction) -> str:
         return f"{context.divide(Decimal(value.numerator), Decimal(value.denominator)):.4e}"
 
 
-def binomial(n: int, r: int) -> int:
-    """Exact C(n, r); 0 when r > n."""
-    if not isinstance(n, int) or not isinstance(r, int):
-        raise ValueError(f"binomial expects integers, got n={n!r}, r={r!r}")
-    if n < 0 or r < 0:
-        raise ValueError(f"binomial expects nonnegative arguments, got n={n}, r={r}")
-    return math.comb(n, r)
-
-
 def _edge_count(k: int, l: int) -> int:
     block = k // l
     seq_len = (2**l) * block
-    return binomial(2 * l - 1, l) * seq_len**l * binomial(seq_len, block)
+    return math.comb(2 * l - 1, l) * seq_len**l * math.comb(seq_len, block)
 
 
 def edge_count(params: Params) -> int:
@@ -108,10 +96,10 @@ def distinct_edge_count(params: Params) -> int:
     kp, block = params.seq_len, params.block_size
     exact: dict[int, int] = {}
     for d in seq_len_divisors(params):
-        fixed = binomial(d, block * d // kp) if block * d % kp == 0 else 0
+        fixed = math.comb(d, block * d // kp) if block * d % kp == 0 else 0
         exact[d] = fixed - sum(n for e, n in exact.items() if d % e == 0)
     periods = sum(n * d ** (params.l - 1) for d, n in exact.items())
-    return binomial(params.num_sequences, params.l) * periods
+    return math.comb(params.num_sequences, params.l) * periods
 
 
 def seq_len_divisors(params: Params) -> list[int]:

@@ -52,5 +52,5 @@ def validate_params(k: int, l: int) -> Params:
     if k % l != 0:
         raise DivisibilityError(f"l must divide k, got k={k}, l={l}")
     block_size = k // l
-    seq_len = (2**l) * block_size
+    seq_len = block_size << l
     return Params(k=k, l=l, seq_len=seq_len, block_size=block_size)

@@ -45,7 +45,7 @@ class SolveResult(NamedTuple):
 
 def hypergraph_to_cnf(hypergraph: Hypergraph) -> Cnf:
     """Two clauses per edge, in edge order: all-plain first, then all-negated."""
-    n, edges = hypergraph.vertex_count, hypergraph.edges
+    n, edges = hypergraph.params.num_vertices, hypergraph.edges
     vertices = set(chain.from_iterable(edges))  # the solver passes vertex -5: literals -4, +4
     if vertices and (min(vertices) < 0 or max(vertices) >= n):
         edge = next(e for e in edges if e and (min(e) < 0 or max(e) >= n))

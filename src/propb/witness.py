@@ -239,7 +239,7 @@ def find_proper_coloring(
     An empty edge is monochromatic under every coloring.  Raises ValueError
     above max_vertices or for a vertex outside the universe.
     """
-    n = hypergraph.vertex_count
+    n = hypergraph.params.num_vertices
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceed the exhaustive-search limit of {max_vertices}")
     edges = list(dict.fromkeys(hypergraph.edges))

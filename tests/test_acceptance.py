@@ -8,6 +8,7 @@ import gc
 import itertools
 import random
 import time
+from math import comb as binomial
 
 from helpers import (
     aligned_positions,
@@ -24,7 +25,6 @@ from helpers import (
 from propb import cli
 from propb.construction import Hypergraph, build_full, dedup
 from propb.counting import (
-    binomial,
     divisors,
     edge_count,
     edge_count_upper_bound,
@@ -230,10 +230,10 @@ def test_criterion_7_duality():
     start = time.monotonic()
     instances = saw_colorable = saw_uncolorable = 0
     for hypergraph in _duality_corpus():
-        assert hypergraph.vertex_count <= 12
+        assert hypergraph.params.num_vertices <= 12
         cnf = hypergraph_to_cnf(hypergraph)
         proper_exists = False
-        for coloring in all_colorings(hypergraph.vertex_count):
+        for coloring in all_colorings(hypergraph.params.num_vertices):
             proper = not has_monochromatic_edge(coloring, hypergraph.edges)
             satisfied = assignment_satisfies(cnf, coloring_to_assignment(coloring))
             assert proper == satisfied, coloring  # pointwise duality

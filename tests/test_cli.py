@@ -425,6 +425,47 @@ def test_a_huge_k_without_l_is_refused_in_start_up_time(argv):
     assert seconds < 1
 
 
+def test_a_refusal_at_l_of_a_billion_comes_in_start_up_time():
+    # 2^l as a power took 5 s at l = 10^9 before the refusal was printed.
+    code, out, err, seconds = run_limited("gen", "--k", str(10**9), "--l", str(10**9))
+    assert (code, out) == (3, "")
+    assert err == "error: construction would emit more than 2^1000000001000000000 edges, above the cap of 10000000\n"
+    assert seconds < 1
+
+
+STEPS = "refusing: the shift search takes {} steps, above the witness limit of 10000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("witness", "--k", "20000", "--l", "20000", "--seed", "1"), STEPS.format("more than 2^39999")),
+        (("witness", "--k", "1000000", "--l", "1000000", "--seed", "1"), STEPS.format("more than 2^1999999")),
+        (("witness", "--k", str(10**12), "--seed", "1"), STEPS.format("more than 2^20051")),
+        (
+            ("verify-small", "--k", "20000", "--l", "20000"),
+            "refusing: a 20016-bit number of vertices exceed the exhaustive limit of 26\n",
+        ),
+    ],
+    ids=["witness-l-20000", "witness-l-1000000", "witness-k-10e12", "verify-small-l-20000"],
+)
+def test_a_refusal_number_past_4300_digits_is_stated_by_its_size(argv, line):
+    # Each once printed its number in full: a ValueError traceback on Python 3.11.
+    code, out, err, seconds = run_limited(*argv)
+    assert (code, out, err) == (3, line, "")
+    assert seconds < 1
+
+
+def test_a_refusal_number_is_printed_in_full_below_4300_digits(capsys):
+    code, out, err = run(capsys, "witness", "--k", "3000", "--l", "3000", "--seed", "1")
+    assert (code, err) == (3, "")
+    assert out == STEPS.format(3000 * 4**3000)
+    # 7140 * 4^7140 is squared, but has 4302 digits.
+    code, out, err = run(capsys, "witness", "--k", "7140", "--l", "7140", "--seed", "1")
+    assert (code, err) == (3, "")
+    assert out == STEPS.format("a 14293-bit number of")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
 def test_an_endless_coloring_file_is_refused_in_bounded_memory():
     code, out, err, seconds = run_limited("witness", "--k", "8", "--l", "2", "--coloring", "/dev/zero")
@@ -736,6 +777,9 @@ def fuzz_argv(draw):
 # An edge-cap refusal whose multiset count is past the 4300-digit limit.
 @example((["gen", "--k", "7200", "--l", "1"], b""))
 @example((["solve", "--k", "7200", "--l", "1"], b""))
+# A refusal number past that limit: witness's shift steps, verify-small's vertex count.
+@example((["witness", "--k", "20000", "--l", "20000", "--seed", "1"], b""))
+@example((["verify-small", "--k", "20000", "--l", "20000"], b""))
 @example((["witness", "--k", "2", "--l", "1", "--coloring", "random bytes"], "RRBÉ".encode()))
 @example((["witness", "--k", "2", "--l", "1", "--coloring", "directory"], b""))
 def test_cli_fuzz_exit_codes(case):

@@ -112,7 +112,7 @@ def test_build_full_matches_naive_oracle(k, l):
     h = build_full(p)
     assert list(h.edges) == naive_full_edges(p)
     assert len(h.edges) == edge_count(p)
-    assert h.vertex_count == p.num_vertices
+    assert h.params.num_vertices == p.num_vertices
     assert all(len(set(e)) == k for e in h.edges)  # k-uniform, no collisions
     assert all(0 <= v < p.num_vertices for e in h.edges for v in e)
 
@@ -251,7 +251,7 @@ def test_build_subset_hypergraph_counts():
     p = validate_params(4, 2)
     edges = tuple(subset_slices(p)[(0, 2)])
     assert len(edges) == 1792
-    assert Hypergraph(p, edges).vertex_count == 24  # full universe even for one subset
+    assert Hypergraph(p, edges).params.num_vertices == 24  # full universe even for one subset
 
 
 @pytest.mark.parametrize("k,l", [(2, 1), (4, 2), (3, 3), (6, 2)])

@@ -107,7 +107,7 @@ def _per_literal_cnf(h):
     clauses = []
     for edge in h.edges:
         clauses += [tuple(v + 1 for v in edge), tuple(-(v + 1) for v in edge)]
-    return Cnf(h.vertex_count, tuple(clauses))
+    return Cnf(h.params.num_vertices, tuple(clauses))
 
 
 @pytest.mark.parametrize(
@@ -468,7 +468,7 @@ def test_duality_pointwise_on_small_instances():
     for h in instances:
         cnf = hypergraph_to_cnf(h)
         found_proper = False
-        for coloring in all_colorings(h.vertex_count):
+        for coloring in all_colorings(h.params.num_vertices):
             proper = not has_monochromatic_edge(coloring, h.edges)
             found_proper |= proper
             assert proper == assignment_satisfies(cnf, coloring_to_assignment(coloring))
