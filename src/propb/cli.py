@@ -27,16 +27,16 @@ without computing any count; count without --l computes the count of
 only those l whose bracketed log2 count could be the smallest (best_l).
 
 Exit codes: 0 success, also when the reader of stdout closes the pipe
-early; 2 usage or parameter error, including a negative edge cap and an
-unreadable coloring file; 3 size refusal (edge cap, exhaustive-search
-limit, witness shift-search limit or exact-count printing limit; an
-edge-cap refusal gives a count past that limit in bits, and one past twice
-it as "more than 2^N", uncomputed; witness and verify-small print their
-number in full below 10^4300, else as "a N-bit number of", or as "more
-than 2^N" steps where seq_len is too long to square); 4 verification
-failure, which would mean a bug in the construction.  The default edge cap
-of gen, solve and verify-small can be overridden with --edge-cap or the
-PROPB_EDGE_CAP environment variable.
+early; 2 usage or parameter error, including a negative edge cap, an
+unreadable coloring file, and a closed or unwritable stdout; 3 size
+refusal (edge cap, exhaustive-search limit, witness shift-search limit or
+exact-count printing limit; an edge-cap refusal gives a count past that
+limit in bits, and one past twice it as "more than 2^N", uncomputed;
+witness and verify-small print their number in full below 10^4300, else as
+"a N-bit number of", or as "more than 2^N" steps where seq_len is too long
+to square); 4 verification failure, which would mean a bug in the
+construction.  The default edge cap of gen, solve and verify-small can be
+overridden with --edge-cap or the PROPB_EDGE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .params import ParameterError, Params, validate_params
 from .satbridge import dpll_satisfiable, dual_clause_parts, dual_dimacs_header, hypergraph_to_cnf
 from .witness import (
     MAX_EXHAUSTIVE_VERTICES,
-    ColoringError,
     find_proper_coloring,
     find_witness,
     random_coloring,
@@ -294,19 +293,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # started with fd 1 closed
+        print("error: cannot write to stdout: it is closed", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if hasattr(args, "edge_cap"):
             if args.edge_cap is None:
                 args.edge_cap = _default_edge_cap()
             if args.edge_cap < 0:
                 raise ParameterError(f"the edge cap must be non-negative, got {args.edge_cap}")
-        return args.func(args, sys.stdout)
-    except BrokenPipeError:
-        # The reader left early (`propb gen | head`); send the rest of the
-        # buffered output, including the flush at exit, to the null device.
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a write error is raised here, not at interpreter exit
+        return code
+    except OSError as exc:
+        # read_coloring turns its own OSError into ParameterError, so this is
+        # stdout's.  Send the rest of the buffered output, including the flush
+        # at exit, to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
-    except (ParameterError, ColoringError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader left early (`propb gen | head`)
+            return EXIT_OK
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EdgeCapError as exc:

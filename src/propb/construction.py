@@ -65,7 +65,6 @@ class EdgeCapError(RuntimeError):
         bits = expected.bit_length() if isinstance(expected, int) else 0
         amount = expected if bits <= counting.COUNT_MAX_BITS else f"a {bits}-bit number of"
         super().__init__(f"construction would emit {amount} edges, above the cap of {cap}")
-        self.expected = expected
 
 
 class Hypergraph:

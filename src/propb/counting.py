@@ -71,18 +71,13 @@ def scientific(value: Fraction) -> str:
         return f"{context.divide(Decimal(value.numerator), Decimal(value.denominator)):.4e}"
 
 
-def _edge_count(k: int, l: int) -> int:
-    block = k // l
-    seq_len = (2**l) * block
-    return math.comb(2 * l - 1, l) * seq_len**l * math.comb(seq_len, block)
-
-
 def edge_count(params: Params) -> int:
     """Exact number of edges, with multiplicity, the full construction emits.
 
     Equals C(2l-1, l) * seq_len^l * C(seq_len, block_size).
     """
-    return _edge_count(params.k, params.l)
+    kp = params.seq_len
+    return math.comb(params.num_sequences, params.l) * kp**params.l * math.comb(kp, params.block_size)
 
 
 def distinct_edge_count(params: Params) -> int:
@@ -126,7 +121,7 @@ def divisors(k: int) -> list[int]:
 
 
 def _log2_count_range(k: int, l: int) -> tuple[float, float]:
-    """Floats lo <= log2(_edge_count(k, l)) <= hi, without computing the count.
+    """Floats lo <= log2(edge_count(validate_params(k, l))) <= hi, without computing the count.
 
     With r = k/l and n = seq_len = 2^l * r, C(n, r) lies between 2^(nH)/(n+1)
     and 2^(nH), where nH = n * H(2^-l) = r*l + r*(2^l - 1)*log2(1/(1 - 2^-l))
@@ -156,4 +151,4 @@ def best_l(k: int) -> int:
     ranges = {l: _log2_count_range(k, l) for l in divisors(k)}
     ceiling = min(hi for _, hi in ranges.values())
     survivors = [l for l, (lo, _) in ranges.items() if lo <= ceiling]
-    return min(survivors, key=lambda l: _edge_count(k, l)) if len(survivors) > 1 else survivors[0]
+    return min(survivors, key=lambda l: edge_count(validate_params(k, l))) if len(survivors) > 1 else survivors[0]

@@ -13,11 +13,7 @@ from typing import NamedTuple
 
 
 class ParameterError(ValueError):
-    """Invalid (k, l) pair."""
-
-
-class DivisibilityError(ParameterError):
-    """l does not divide k, so the per-sequence block size is not integral."""
+    """Invalid (k, l) pair, coloring for it, or setting."""
 
 
 class Params(NamedTuple):
@@ -40,8 +36,7 @@ class Params(NamedTuple):
 def validate_params(k: int, l: int) -> Params:
     """Check a (k, l) pair and derive seq_len = 2^l*k/l and block_size = k/l.
 
-    Raises ParameterError unless 1 <= l <= k, and DivisibilityError unless
-    l divides k.
+    Raises ParameterError unless 1 <= l <= k and l divides k.
     """
     if not isinstance(k, int) or not isinstance(l, int):
         raise ParameterError(f"k and l must be integers, got k={k!r}, l={l!r}")
@@ -50,7 +45,7 @@ def validate_params(k: int, l: int) -> Params:
     if l > k:
         raise ParameterError(f"l must not exceed k, got k={k}, l={l}")
     if k % l != 0:
-        raise DivisibilityError(f"l must divide k, got k={k}, l={l}")
+        raise ParameterError(f"l must divide k, got k={k}, l={l}")
     block_size = k // l
     seq_len = block_size << l
     return Params(k=k, l=l, seq_len=seq_len, block_size=block_size)

@@ -44,22 +44,12 @@ Coloring = str
 MAX_EXHAUSTIVE_VERTICES = 26
 
 
-class ColoringError(ValueError):
-    """Coloring is not a total map over the vertex universe."""
-
-
-class MajorityError(ValueError):
-    """A chosen sequence lacks the required majority of the target color."""
-
-
 def check_coloring(params: Params, coloring: Coloring) -> Coloring:
     if len(coloring) != params.num_vertices:
-        raise ColoringError(
-            f"coloring has {len(coloring)} entries, need {params.num_vertices}"
-        )
+        raise ParameterError(f"coloring has {len(coloring)} entries, need {params.num_vertices}")
     bad = set(coloring) - set(COLORS)
     if bad:
-        raise ColoringError(f"coloring contains invalid colors: {sorted(bad)}")
+        raise ParameterError(f"coloring contains invalid colors: {sorted(bad)}")
     return coloring
 
 
@@ -77,7 +67,7 @@ def read_coloring(params: Params, path: str) -> Coloring:
             while chunk := handle.read(1 << 16):
                 text = (text + chunk).lstrip()
                 if len(text.rstrip()) > n:
-                    raise ColoringError(f"coloring has more than {n} entries, need {n}")
+                    raise ParameterError(f"coloring has more than {n} entries, need {n}")
                 text = text[: n + 1]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read the coloring file: {exc}") from exc
@@ -140,8 +130,8 @@ def derandomized_shifts(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy shift tuple plus the block of positions it makes monochromatic.
 
-    Requires distinct chosen sequences of the construction (ValueError
-    otherwise) and a `color` majority in each of them.  Each shift is the
+    Requires distinct chosen sequences of the construction and a `color`
+    majority in each of them; ValueError otherwise.  Each shift is the
     smallest maximizer of the conditional expectation, which therefore never
     drops below its starting value of at least block_size; the returned
     block is the first block_size fully-`color` positions.
@@ -164,7 +154,7 @@ def derandomized_shifts(
         mask = int(coloring[seq * kp : (seq + 1) * kp][::-1].translate(digits), 2)
         count = mask.bit_count()
         if 2 * count < kp:
-            raise MajorityError(f"sequence {seq} has only {count}/{kp} vertices of color {color}")
+            raise ValueError(f"sequence {seq} has only {count}/{kp} vertices of color {color}")
         # Bit r of twice >> s is mask bit (r + s) mod kp: the sequence under shift s.
         twice = mask << kp | mask
         best = max(range(kp), key=lambda s: (passing & twice >> s).bit_count())

@@ -290,6 +290,34 @@ def test_gen_into_a_pipe_closed_early_exits_cleanly(extra, header):
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv,redirect",
+    [
+        (("count", "--k", "4", "--l", "2"), "> /dev/full"),
+        (("gen", "--k", "8", "--l", "2", "--format", "dimacs"), "> /dev/full"),
+        (("count", "--k", "200", "--l", "200"), "> /dev/full"),
+        (("count", "--k", "4", "--l", "2"), ">&-"),
+    ],
+    ids=["count-full", "gen-dimacs-full", "refusal-full", "count-closed"],
+)
+def test_an_unwritable_stdout_is_a_usage_error(argv, redirect):
+    # Block buffered, as a shell runs it: a small output is held back until
+    # exit unless main flushes it, and a failed flush at exit is no exit code.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "propb.cli", *argv],
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_gen_dedup_streams_without_a_hypergraph(capsys, monkeypatch):
     args = ("gen", "--dedup", "--k", "4", "--l", "2")
     _, expected, _ = run(capsys, *args)
@@ -499,13 +527,13 @@ def test_count_and_bound_compute_no_count_they_can_rule_out(capsys, monkeypatch)
     # Every count is at least 2^(l*l), so no count with l*l >= COUNT_MAX_BITS
     # can be printed, nor be the smallest for best_l; none is computed.
     computed = []
-    edge_count = counting._edge_count
+    edge_count = counting.edge_count
 
-    def recording(k, l):
-        computed.append(l)
-        return edge_count(k, l)
+    def recording(params):
+        computed.append(params.l)
+        return edge_count(params)
 
-    monkeypatch.setattr(counting, "_edge_count", recording)
+    monkeypatch.setattr(counting, "edge_count", recording)
     code, out, err = run(capsys, "count", "--k", "6000")
     assert code == 0 and err == ""
     assert out.startswith("k = 6000, l = 15, vertices = 380108800\n")
@@ -528,13 +556,13 @@ def test_count_without_l_computes_only_the_counts_that_could_win(capsys, monkeyp
     # Each divisor's log2 count is bracketed first; for k = 100000 only l = 40
     # can be the smallest, and its 105,727-bit count is refused.
     computed = []
-    edge_count = counting._edge_count
+    edge_count = counting.edge_count
 
-    def recording(k, l):
-        computed.append(l)
-        return edge_count(k, l)
+    def recording(params):
+        computed.append(params.l)
+        return edge_count(params)
 
-    monkeypatch.setattr(counting, "_edge_count", recording)
+    monkeypatch.setattr(counting, "edge_count", recording)
     code, out, err = run(capsys, "count", "--k", "100000")
     assert code == 3 and err == ""
     assert out == "refusing: the exact edge count has 105727 bits, above the printing limit of 14000\n"

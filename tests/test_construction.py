@@ -124,9 +124,8 @@ def test_build_full_deterministic():
 
 def test_build_full_cap():
     p = validate_params(12, 1)  # 24 * C(24, 12) = 64,899,744 edges
-    with pytest.raises(EdgeCapError) as info:
+    with pytest.raises(EdgeCapError, match="would emit 64899744 edges,"):
         build_full(p)
-    assert info.value.expected == 24 * 2_704_156
     with pytest.raises(EdgeCapError):
         build_full(validate_params(4, 2), edge_cap=100)
     # the distinct build answers to the same multiset cap: (4,2) has 624

@@ -283,10 +283,10 @@ def test_best_l_equals_the_brute_force_minimum_up_to_300():
 def test_best_l_computes_no_count_when_one_divisor_survives(monkeypatch):
     # 200003 is prime: the l = 200003 bracket starts far above l = 1's, so
     # l = 1 wins without its 400,000-bit count being computed.
-    def refuse(k, l):
-        raise AssertionError(f"computed the count of ({k}, {l})")
+    def refuse(params):
+        raise AssertionError(f"computed the count of ({params.k}, {params.l})")
 
-    monkeypatch.setattr(counting, "_edge_count", refuse)
+    monkeypatch.setattr(counting, "edge_count", refuse)
     assert divisors(200003) == [1, 200003]
     assert best_l(200003) == 1
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from propb import params
-from propb.params import DivisibilityError, ParameterError, Params, validate_params
+from propb.params import ParameterError, Params, validate_params
 
 
 def test_k2_l1():
@@ -25,7 +25,7 @@ def test_k4_l2():
 
 
 def test_divisibility_rejected():
-    with pytest.raises(DivisibilityError):
+    with pytest.raises(ParameterError, match="l must divide k"):
         validate_params(3, 2)
 
 
@@ -81,3 +81,16 @@ def test_validate_params_is_the_only_constructor_in_src():
             (validate,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "validate_params"]
             inside = constructor_calls(validate)
     assert total == inside == 1
+
+
+def test_parameter_and_edge_cap_errors_are_the_only_exception_classes_in_src():
+    # main maps ParameterError to exit 2 and EdgeCapError to 3; no subclass
+    # of either, nor another error class, is told apart by any caller.
+    defined = set()
+    for path in sorted(Path(params.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = [getattr(base, "id", None) or getattr(base, "attr", "") for base in node.bases]
+                if any(base.endswith(("Error", "Exception")) for base in bases):
+                    defined.add(node.name)
+    assert defined == {"ParameterError", "EdgeCapError"}

@@ -13,13 +13,11 @@ from helpers import (
     max_aligned_by_enumeration,
 )
 from propb.construction import build_full, dedup, distinct_hypergraph, Hypergraph
-from propb.params import Params, validate_params
+from propb.params import ParameterError, Params, validate_params
 from propb.satbridge import dpll_satisfiable, hypergraph_to_cnf
 from propb.witness import (
     BLUE,
     RED,
-    ColoringError,
-    MajorityError,
     MajorityProfile,
     Witness,
     derandomized_shifts,
@@ -36,11 +34,11 @@ from propb.witness import (
 def test_coloring_validation():
     p = validate_params(2, 1)
     assert parse_coloring(p, "RRBB\n") == "RRBB"
-    with pytest.raises(ColoringError):
+    with pytest.raises(ParameterError, match="has 3 entries"):
         parse_coloring(p, "RRB")  # partial
-    with pytest.raises(ColoringError):
+    with pytest.raises(ParameterError, match="invalid colors"):
         parse_coloring(p, "RRBX")
-    with pytest.raises(ColoringError):
+    with pytest.raises(ParameterError, match="has 5 entries"):
         majority_profile(p, "RRBBB")
 
 
@@ -177,7 +175,7 @@ def test_derandomized_shifts_half_sequence():
 
 def test_derandomized_shifts_requires_majority():
     p = validate_params(2, 1)
-    with pytest.raises(MajorityError):
+    with pytest.raises(ValueError, match="has only"):
         derandomized_shifts(p, "RBBB", RED, (0,))
 
 
