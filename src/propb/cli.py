@@ -35,7 +35,8 @@ limit in bits, and one past twice it as "more than 2^N", uncomputed;
 witness and verify-small print their number in full below 10^4300, else as
 "a N-bit number of", or as "more than 2^N" steps where seq_len is too long
 to square); 4 verification failure, which would mean a bug in the
-construction.  The default edge cap of gen, solve and verify-small can be
+construction.  SIGINT ends a command by that signal, with no traceback.
+The default edge cap of gen, solve and verify-small can be
 overridden with --edge-cap or the PROPB_EDGE_CAP environment variable.
 """
 
@@ -323,6 +324,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except KeyboardInterrupt:
+        # Die by SIGINT itself, with no traceback, so the parent sees the interrupt.
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        return 128 + signal.SIGINT  # where SIGINT does not end the process
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ elimination, most-occurrences branching) with no clause learning.  Its
 state is the variables' values and a few big ints over clause indices: the
 unsatisfied clauses and, bit-sliced, each clause's count of literals not yet
 false.  An assignment updates the ints with a handful of bitwise
-operations, none making a negative int.  A decision saves the whole state
-as one snapshot (the ints by reference, the values as a copy), and a
-backtrack restores it.  Its set-up is one pass over the literal occurrences
+operations, none making a negative int, and the count planes in place.  A
+decision saves the whole state as one snapshot (the unsatisfied clauses by
+reference, the plane list and the values as copies), and a backtrack
+restores it.  Its set-up is one pass over the literal occurrences
 (two if a clause repeats a literal) and the one check of the clause set.
 It is deterministic, complete at desk scale, and verifies any model.
 """
@@ -44,15 +45,20 @@ class SolveResult(NamedTuple):
 
 
 def hypergraph_to_cnf(hypergraph: Hypergraph) -> Cnf:
-    """Two clauses per edge, in edge order: all-plain first, then all-negated."""
+    """Two clauses per edge, in edge order: all-plain first, then all-negated.
+
+    Each literal is one int object, however many clauses hold it: vertex v
+    is looked up in one table of plain and one of negated literals.
+    """
     n, edges = hypergraph.params.num_vertices, hypergraph.edges
-    vertices = set(chain.from_iterable(edges))  # the solver passes vertex -5: literals -4, +4
+    vertices = set(chain.from_iterable(edges))  # a negative vertex would index the tables from the end
     if vertices and (min(vertices) < 0 or max(vertices) >= n):
         edge = next(e for e in edges if e and (min(e) < 0 or max(e) >= n))
         raise ValueError(f"edge {edge} has a vertex outside 0..{n - 1}")
+    plain, negated = tuple(range(1, n + 1)), tuple(range(-1, -n - 1, -1))
     clauses: list[Clause] = [()] * (2 * len(edges))
-    clauses[0::2] = map(tuple, map(map, repeat((1).__add__), edges))
-    clauses[1::2] = map(tuple, map(map, repeat((-1).__sub__), edges))
+    clauses[0::2] = map(tuple, map(map, repeat(plain.__getitem__), edges))
+    clauses[1::2] = map(tuple, map(map, repeat(negated.__getitem__), edges))
     return Cnf(n, tuple(clauses))
 
 
@@ -72,18 +78,24 @@ class _Dpll:
     j of each clause's count of literals not yet false, at first the
     bit-sliced sum of the literal masks.  Only unsatisfied clauses' counts
     are kept current; nothing reads the others.  No operation of the search
-    makes a negative int.  A decision snapshots `unsat`, `planes` and the
-    per-variable `value`, one byte a variable, so each copy is small.
+    makes a negative int.  A decision snapshots `unsat`, a copy of the
+    `planes` list, updated in place between decisions, and the per-variable
+    `value`, one byte a variable, so each copy is small.  Unit propagation
+    reaches the same closure, or a conflict, whichever unit clause it takes
+    first, so any unit clause will do; the highest-numbered is taken, as
+    its index is the unit mask's bit length less one.
     """
 
     def __init__(self, cnf: Cnf):
         # Solve the distinct set, so each count starts at its clause's true width:
         # sorted clauses, or sorted sets once the masks show a repeated literal.
+        # A clause already in that form is kept, not copied.
         self.nvars = n = cnf.variable_count
         if n < 0:
             raise ValueError(f"negative variable count {n}")
         for canonical in map(sorted, cnf.clauses), map(sorted, map(set, cnf.clauses)):
-            clauses = list(dict.fromkeys(map(tuple, canonical)))
+            keys = map(tuple, canonical)
+            clauses = list(dict.fromkeys(c if c == key else key for c, key in zip(cnf.clauses, keys)))
             # Literal lit's bitmap is bits[lit]: 0 and literals beyond n have none.
             bits = {lit: bytearray((len(clauses) + 7) >> 3) for lit in range(-n, n + 1) if lit}
             try:
@@ -114,18 +126,20 @@ class _Dpll:
                     break
             else:
                 planes.append(carry)
-        self.unsat, self.planes = (1 << len(clauses)) - 1, tuple(planes)
+        self.unsat, self.planes = (1 << len(clauses)) - 1, planes
         from array import array  # only the solver needs it
         self.value = array("b", bytes(n + 1))  # 0 free, +1 true, -1 false
 
     def _propagate(self, lit: int) -> int | None:
         """Make lit true (none if 0), then close under units and lowest pure literals.
 
-        Pure literals are taken only once the unit closure is complete, the
-        lowest variable first.  Returns None on a conflict; otherwise the
-        branching variable, with the most occurrences among unsatisfied
-        clauses and the lowest number on a tie, or 0 when none is left.  The
-        pass that finds no pure literal is the one that picks it.
+        Any unit clause will do, and the highest-numbered is taken.  Pure
+        literals are taken only once the unit closure is complete, the
+        lowest variable first.  Returns None on a conflict, leaving the
+        count planes for the caller to restore; otherwise the branching
+        variable, with the most occurrences among unsatisfied clauses and
+        the lowest number on a tie, or 0 when none is left.  The pass that
+        finds no pure literal is the one that picks it.
         """
         value, pos, neg, static = self.value, self.pos, self.neg, self.static
         unsat, planes = self.unsat, self.planes
@@ -139,14 +153,11 @@ class _Dpll:
                 # that lit falsifies, borrowing up through the planes where
                 # the old bit was 0, so the new one is 1.
                 borrow = false & unsat
-                if borrow:
-                    sliced = list(planes)
-                    for j, plane in enumerate(sliced):
-                        sliced[j] = plane = plane ^ borrow
-                        borrow &= plane
-                        if not borrow:
-                            break
-                    planes = tuple(sliced)
+                for j, plane in enumerate(planes):
+                    if not borrow:
+                        break
+                    planes[j] = plane = plane ^ borrow
+                    borrow &= plane
             high = 0
             for plane in planes[1:]:
                 high |= plane
@@ -155,8 +166,9 @@ class _Dpll:
             if at_most_one != units:
                 return None
             if units:
-                ci = (units ^ (units - 1)).bit_length() - 1
-                lit = next(u for u in self.clauses[ci] if not value[abs(u)])
+                for lit in self.clauses[units.bit_length() - 1]:
+                    if not value[abs(lit)]:
+                        break
                 continue
             lit = best = best_score = 0
             for v in range(1, self.nvars + 1):
@@ -172,7 +184,7 @@ class _Dpll:
                     lit = v if plus else -v
                     break
             if not lit:
-                self.unsat, self.planes = unsat, planes
+                self.unsat = unsat
                 return best
 
     def _search(self) -> bool:
@@ -181,11 +193,11 @@ class _Dpll:
         Each stack entry is one decision whose negative branch is untried:
         (that literal, and the unsat mask, count planes and values saved
         before the decision).  A conflict pops the newest entry, restores its
-        snapshot by reference and propagates its literal; a conflict on an
-        empty stack means unsatisfiable.  Depth is bounded by the variable
-        count, not by Python's recursion limit.
+        snapshot, whose copies nothing else holds, and propagates its
+        literal; a conflict on an empty stack means unsatisfiable.  Depth is
+        bounded by the variable count, not by Python's recursion limit.
         """
-        stack: list[tuple[int, int, tuple[int, ...], Sequence[int]]] = []
+        stack: list[tuple[int, int, list[int], Sequence[int]]] = []
         branch = self._propagate(0)
         while branch != 0:
             if branch is None:
@@ -195,7 +207,7 @@ class _Dpll:
                 branch = self._propagate(lit)
             else:
                 self.decisions += 1
-                stack.append((-branch, self.unsat, self.planes, self.value[:]))
+                stack.append((-branch, self.unsat, self.planes[:], self.value[:]))
                 branch = self._propagate(branch)
         return True
 

@@ -111,6 +111,37 @@ def truth_table_satisfiable(variable_count: int, clauses: Sequence[Sequence[int]
     return None
 
 
+def unit_propagation_closure(
+    clauses: Sequence[Sequence[int]], assignment: dict[int, bool], lit: int
+) -> dict[int, bool] | None:
+    """Make lit true (none if 0), then close under unit clauses and pure literals, by definition.
+
+    Open clauses are those with no true literal.  The first open clause, in
+    clause order, with exactly one distinct unassigned literal makes that
+    literal true.  With no such clause left, the lowest variable that has
+    one sign only among the open clauses is made to satisfy them, and the
+    closure repeats.  Returns the extended assignment, or None as soon as
+    an open clause has no unassigned literal: a conflict.
+    """
+    assignment = dict(assignment)
+    if lit:
+        assignment[abs(lit)] = lit > 0
+    while True:
+        open_clauses = [c for c in clauses if not any(assignment.get(abs(u)) == (u > 0) for u in c)]
+        unassigned = [{u for u in c if abs(u) not in assignment} for c in open_clauses]
+        if set() in unassigned:
+            return None
+        unit = next((free for free in unassigned if len(free) == 1), None)
+        if unit is None:
+            literals = set().union(*unassigned)
+            pure = [u for u in literals if -u not in literals]
+            if not pure:
+                return assignment
+            unit = {min(pure, key=abs)}
+        (u,) = unit
+        assignment[abs(u)] = u > 0
+
+
 def max_aligned_by_enumeration(
     params: Params, coloring: str, color: str, chosen_seqs: Sequence[int]
 ) -> int:

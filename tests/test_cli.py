@@ -4,6 +4,7 @@ import io
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -287,6 +288,26 @@ def test_gen_into_a_pipe_closed_early_exits_cleanly(extra, header):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
+def test_an_interrupt_ends_solve_by_sigint_without_a_traceback():
+    # DPLL on the (8,2) dual runs for minutes, so the signal lands in the search.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "propb.cli", "solve", "--k", "8", "--l", "2"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        try:
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+    assert proc.returncode == -signal.SIGINT, err
     assert err == b""
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from helpers import (
     has_monochromatic_edge,
     parse_dimacs,
     truth_table_satisfiable,
+    unit_propagation_closure,
 )
 from propb import satbridge
 from propb.construction import (
@@ -338,6 +340,26 @@ def test_dpll_setup_on_real_duals(k, l, clauses, planes):
     assert (len(solver.clauses), len(solver.planes)) == (clauses, planes)
 
 
+def test_each_literal_of_a_dual_is_one_object():
+    # 40 variables, 10,240 clauses of width 3: one int object per literal,
+    # not one per occurrence.
+    cnf = hypergraph_to_cnf(distinct_hypergraph(validate_params(3, 3)))
+    assert len({id(lit) for clause in cnf.clauses for lit in clause}) == 80
+
+
+def test_dpll_setup_on_the_6_2_dual_stays_small():
+    # The set-up keeps each already sorted clause, and every literal is one
+    # object: a peak of about 3.0 MB, and 5.0 MB if each negated literal and
+    # each sorted clause is a new object (CPython 3.11).
+    tracemalloc.start()
+    try:
+        _Dpll(hypergraph_to_cnf(distinct_hypergraph(validate_params(6, 2))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6e6
+
+
 def _counts(solver):
     """Each clause's count of literals not yet false, decoded from the planes."""
     return [
@@ -384,6 +406,29 @@ def test_dpll_bit_sliced_counts_match_a_recount(cnf, data):
             if 1 not in clause:
                 assert counts[ci] == clause.count(0)
         free = [v for v in range(1, n + 1) if not value[v]]
+        if not free:
+            break
+        lit = data.draw(st.sampled_from(free)) * data.draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnf=_cnfs_with_repeats(), data=st.data())
+def test_dpll_propagation_reaches_the_closure_of_the_oracle(cnf, data):
+    # The solver takes the highest unit clause first, the oracle the first in
+    # clause order; both must reach the same closure, or both a conflict.
+    if cnf.clauses:  # duplicate clauses, in any order
+        cnf = Cnf(cnf.variable_count, cnf.clauses + tuple(data.draw(st.lists(st.sampled_from(cnf.clauses)))))
+    solver = _Dpll(cnf)
+    n, assignment, lit = cnf.variable_count, {}, 0
+    while True:
+        expected = unit_propagation_closure(cnf.clauses, assignment, lit)
+        branch = solver._propagate(lit)
+        assert (branch is None) == (expected is None)
+        if expected is None:
+            break
+        assignment = {v: solver.value[v] > 0 for v in range(1, n + 1) if solver.value[v]}
+        assert assignment == expected
+        free = [v for v in range(1, n + 1) if v not in assignment]
         if not free:
             break
         lit = data.draw(st.sampled_from(free)) * data.draw(st.sampled_from((1, -1)))
