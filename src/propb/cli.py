@@ -21,10 +21,8 @@ to their number.  None builds the multiset, but the edge cap still applies
 to the multiset count.  solve --dedup reports the distinct clause count, solve
 without it the multiset's; the verdict and decisions are the same.  count
 and bound refuse, before printing anything, when an exact edge count they
-would print has more than COUNT_MAX_BITS bits.  A count is at least
-2^(l*l), so when l*l (for bound, k*k) reaches that limit they refuse
-without computing any count; count without --l computes the count of
-only those l whose bracketed log2 count could be the smallest (best_l).
+would print has more than COUNT_MAX_BITS bits, as counting.count_bits
+tells them before any count is computed (bound asks about its l = k row).
 
 Exit codes: 0 success, also when the reader of stdout closes the pipe
 early; 2 usage or parameter error, including a negative edge cap, an
@@ -132,14 +130,10 @@ def _too_long(bits: int | str) -> str:
 
 def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    # The count is at least seq_len^l >= 2^(l*l): refuse before computing it.
-    if params.l * params.l >= COUNT_MAX_BITS:
-        return _refuse(out, _too_long(f"more than {params.l * params.l}"))
-    if params.block_size > sys.maxsize:  # too large for math.comb; the count is at least 2^lo
-        return _refuse(out, _too_long(f"more than {int(counting._log2_count_range(params.k, params.l)[0])}"))
+    bits = counting.count_bits(params.k, params.l)
+    if isinstance(bits, str) or bits > COUNT_MAX_BITS:
+        return _refuse(out, _too_long(bits))
     count = counting.edge_count(params)
-    if count.bit_length() > COUNT_MAX_BITS:
-        return _refuse(out, _too_long(count.bit_length()))
     bound = counting.edge_count_upper_bound(params.k, params.l)
     verdict = "yes" if bound.certifies_at_most(count) else "NO"
     out.write(f"k = {params.k}, l = {params.l}, vertices = {params.num_vertices}\n")
@@ -153,14 +147,12 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
     k = args.k
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
-    # The l = k row's count is at least 2^(k*k), as in cmd_count.
-    if k * k >= COUNT_MAX_BITS:
-        return _refuse(out, _too_long(f"more than {k * k}"))
+    # The l = k row is the longest up to k = 118, and unprintable from 119 on.
+    bits = counting.count_bits(k, k)
+    if isinstance(bits, str) or bits > COUNT_MAX_BITS:
+        return _refuse(out, _too_long(bits))
     rows = [validate_params(k, l) for l in counting.divisors(k)]
     counts = [counting.edge_count(params) for params in rows]
-    longest = max(counts)
-    if longest.bit_length() > COUNT_MAX_BITS:
-        return _refuse(out, _too_long(longest.bit_length()))
     out.write(f"{'l':>4} {'seq_len':>8} {'edge_count':>16} {'upper_bound':>13} {'ok':>3}\n")
     failures = 0
     for params, count in zip(rows, counts):

@@ -1,13 +1,12 @@
-"""Exact edge counts and conservative analytic upper bounds.
+"""Exact edge counts, their bit lengths and conservative analytic upper bounds.
 
-Counts are arbitrary-precision integers, never floats.  Bounds involve the
-constant e, so they are returned as rational enclosures (BoundValue): the
-upper end is safe when a bound is used as a size estimate, the lower end is
-the one to compare against when certifying `quantity <= bound`, so a check
-can never pass through rounding alone.  e itself is enclosed by
-e_enclosure(), computed on its first call: fractions is imported only there
-and decimal only by scientific past the float range, so no caller that
-computes no bound loads either.
+Counts are arbitrary-precision integers, never floats; count_bits tells
+their bit length from a float bracket first.  Bounds involve the constant
+e, so they are returned as rational enclosures (BoundValue): the upper end
+is safe when a bound is used as a size estimate, the lower end is the one
+to compare against when certifying `quantity <= bound`, so a check can
+never pass through rounding alone.  e itself is enclosed by e_enclosure(),
+computed on its first call, the only place that imports fractions.
 """
 
 from __future__ import annotations
@@ -59,16 +58,20 @@ def scientific(value: Fraction) -> str:
     The float path is kept for byte identity with earlier output: at a
     decimal tie the float's rounding error decides, so 6523/40 prints
     1.6307e+02 where exact rounding half to even gives 1.6308e+02.  Past the
-    float range (about 1.8e308) one decimal division, correctly rounded to 5
-    digits half to even, gives them instead of an OverflowError.
+    float range (about 1.8e308) integers round half to even.  The exponent
+    comes from log10, whose float error can misplace only a value within
+    10^-6 of a power of ten, and such a value rounds to it either way.
     """
     try:
         return f"{float(value):.4e}"
     except OverflowError:
-        from decimal import MAX_EMAX, Context, Decimal
-
-        context = Context(prec=5, Emax=MAX_EMAX)
-        return f"{context.divide(Decimal(value.numerator), Decimal(value.denominator)):.4e}"
+        exponent = math.floor(math.log10(value.numerator) - math.log10(value.denominator))
+        divisor = value.denominator * 10 ** (exponent - 4)  # exponent >= 308
+        digits, rest = divmod(value.numerator, divisor)
+        digits += 2 * rest > divisor or (2 * rest == divisor and digits % 2)  # half to even
+        if digits == 10**5:  # 9.99995e+N rounds up to 1.0000e+(N+1)
+            digits, exponent = 10**4, exponent + 1
+        return f"{digits // 10**4}.{digits % 10**4:04d}e{exponent:+03d}"
 
 
 def edge_count(params: Params) -> int:
@@ -137,6 +140,30 @@ def _log2_count_range(k: int, l: int) -> tuple[float, float]:
     # Widened far beyond the float rounding error, about 1e-15 of the value.
     margin = 4 + 1e-9 * hi
     return hi - (log2_n + math.log1p(2.0**-log2_n) / math.log(2)) - margin, hi + margin
+
+
+def count_bits(k: int, l: int) -> int | str:
+    """Bit length of edge_count(validate_params(k, l)) for a valid pair, or a lower bound on it as text.
+
+    Stirling's series with Robbins' remainder bounds puts log2 C(n, r), r = k/l
+    and n = 2^l * r, within 1/(6r ln 2) of r*l + r*(2^l - 1)*log2(1/(1 - 2^-l))
+    - log2(2*pi*r*(1 - 2^-l))/2.  Widened by the float error, that bracket
+    settles the bit length unless it holds an integer; then the count is
+    computed, below 2*10^6 bits.  Lower bounds: "more than l*l" from l*l =
+    COUNT_MAX_BITS on (the count is at least seq_len^l), else by
+    _log2_count_range, as for a block past sys.maxsize (math.comb's limit).
+    """
+    if l * l >= COUNT_MAX_BITS:
+        return f"more than {l * l}"
+    r, x = k // l, 2.0**-l
+    binomial = r * l - r * (2**l - 1) * math.log1p(-x) / math.log(2) - math.log2(2 * math.pi * r * (1 - x)) / 2
+    estimate = math.log2(math.comb(2 * l - 1, l)) + l * (l + math.log2(r)) + binomial
+    margin = 1 / (6 * r * math.log(2)) + 1e-12 * (estimate + 1)
+    if math.floor(estimate - margin) == math.floor(estimate + margin):
+        return math.floor(estimate) + 1
+    if estimate < 2e6:  # a 2*10^6-bit count takes about a minute
+        return edge_count(validate_params(k, l)).bit_length()
+    return f"more than {int(_log2_count_range(k, l)[0])}"
 
 
 def best_l(k: int) -> int:

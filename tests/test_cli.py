@@ -460,6 +460,33 @@ def test_count_past_the_binomial_limit_is_refused_in_start_up_time():
     assert seconds < 1
 
 
+def test_count_states_a_long_count_by_its_bit_length_in_start_up_time():
+    # The 600,010-bit count took 5 s to compute before it was refused.
+    code, out, err, seconds = run_limited("count", "--k", "300000", "--l", "1")
+    assert (code, err) == (3, "")
+    assert out == "refusing: the exact edge count has 600010 bits, above the printing limit of 14000\n"
+    assert seconds < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--k", "300000", "--l", "1"),
+        ("count", "--k", "100000", "--l", "40"),
+        ("count", "--k", str(10**20), "--l", "1"),
+        ("bound", "--k", "119"),
+    ],
+)
+def test_count_and_bound_decide_a_refusal_before_computing_any_count(capsys, monkeypatch, argv):
+    def refuse(params):
+        raise AssertionError(f"computed the count of ({params.k}, {params.l})")
+
+    monkeypatch.setattr(counting, "edge_count", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "")
+    assert out.startswith("refusing: the exact edge count has ") and out.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [("gen", "--k", str(10**10)), ("solve", "--k", str(10**10)), ("gen", "--k", str(10**12)), ("count", "--k", str(10**12))],
@@ -575,7 +602,8 @@ def test_count_and_bound_compute_no_count_they_can_rule_out(capsys, monkeypatch)
 
 def test_count_without_l_computes_only_the_counts_that_could_win(capsys, monkeypatch):
     # Each divisor's log2 count is bracketed first; for k = 100000 only l = 40
-    # can be the smallest, and its 105,727-bit count is refused.
+    # can be the smallest, and count_bits refuses its 105,727-bit count
+    # without computing it.
     computed = []
     edge_count = counting.edge_count
 
@@ -587,7 +615,7 @@ def test_count_without_l_computes_only_the_counts_that_could_win(capsys, monkeyp
     code, out, err = run(capsys, "count", "--k", "100000")
     assert code == 3 and err == ""
     assert out == "refusing: the exact edge count has 105727 bits, above the printing limit of 14000\n"
-    assert set(computed) == {40}
+    assert computed == []
 
 
 def test_witness_from_file(capsys, tmp_path):

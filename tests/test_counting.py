@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from propb import counting
 from propb.counting import (
+    COUNT_MAX_BITS,
     best_l,
+    count_bits,
     distinct_edge_count,
     divisors,
     e_enclosure,
@@ -264,6 +266,39 @@ def test_log2_count_range_brackets_the_exact_count():
         lo, hi = counting._log2_count_range(k, l)
         bits = math.log2(edge_count(validate_params(k, l)))
         assert lo <= bits <= hi
+
+
+def test_count_bits_is_the_exact_bit_length_of_every_count_up_to_k_400():
+    # 2,089 pairs; the Stirling bracket straddles an integer on 173, where
+    # the count is computed.
+    for k in range(1, 401):
+        for l in divisors(k):
+            if l * l < COUNT_MAX_BITS:
+                assert count_bits(k, l) == edge_count(validate_params(k, l)).bit_length(), (k, l)
+
+
+def test_count_bits_of_large_counts_computes_no_count(monkeypatch):
+    def refuse(params):
+        raise AssertionError(f"computed the count of ({params.k}, {params.l})")
+
+    monkeypatch.setattr(counting, "edge_count", refuse)
+    # The exact bit lengths, as printed when the counts were computed.
+    assert count_bits(100000, 1) == 200009
+    assert count_bits(100000, 40) == 105727
+    assert count_bits(300000, 1) == 600010
+    # Lower bounds: seq_len^l >= 2^(l*l), and a bracket too wide to settle.
+    assert count_bits(128, 128) == "more than 16384"
+    for k in (10**18, 10**20):
+        assert count_bits(k, 1) == f"more than {int(counting._log2_count_range(k, 1)[0])}"
+
+
+def test_the_l_equals_k_row_has_the_longest_count_up_to_k_118():
+    # bound asks count_bits about this row alone; from k = 119 on, its
+    # count has more than k*k >= COUNT_MAX_BITS bits.
+    for k in range(1, 119):
+        counts = [edge_count(validate_params(k, l)) for l in divisors(k)]
+        assert max(counts) == counts[-1], k
+    assert 119 * 119 >= COUNT_MAX_BITS > 118 * 118
 
 
 def test_best_l_examples():
