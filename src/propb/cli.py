@@ -23,6 +23,8 @@ without it the multiset's; the verdict and decisions are the same.  count
 and bound refuse, before printing anything, when an exact edge count they
 would print has more than COUNT_MAX_BITS bits, as counting.count_bits
 tells them before any count is computed (bound asks about its l = k row).
+Every size refusal is ruled on from k and l, which are all a Params holds,
+before a number of about l bits is built.
 
 Exit codes: 0 success, also when the reader of stdout closes the pipe
 early; 2 usage or parameter error, including a negative edge cap, an
@@ -32,10 +34,13 @@ exact-count printing limit; an edge-cap refusal gives a count past that
 limit in bits, and one past twice it as "more than 2^N", uncomputed;
 witness and verify-small print their number in full below 10^4300, else as
 "a N-bit number of", or as "more than 2^N" steps where seq_len is too long
-to square); 4 verification failure, which would mean a bug in the
-construction.  SIGINT ends a command by that signal, with no traceback.
-The default edge cap of gen, solve and verify-small can be
-overridden with --edge-cap or the PROPB_EDGE_CAP environment variable.
+to square; where k is past the float range, count says "more than N" bits
+and an edge-cap refusal "more than 2^N", N = k + l*l; every such N is
+stated by the same 10^4300 rule, counting.printable); 4 verification
+failure, which would mean a bug in the construction.  SIGINT ends a
+command by that signal, with no traceback.  The default edge cap of gen,
+solve and verify-small can be overridden with --edge-cap or the
+PROPB_EDGE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -119,11 +124,6 @@ def _refuse(out: IO[str], reason: str) -> int:
     return EXIT_SIZE
 
 
-def _printable(n: int) -> str:
-    """n in full below 10^4300, where CPython 3.11 stops printing ints by default; else its bit count."""
-    return str(n) if n < 10**4300 else f"a {n.bit_length()}-bit number of"
-
-
 def _too_long(bits: int | str) -> str:
     return f"the exact edge count has {bits} bits, above the printing limit of {COUNT_MAX_BITS}"
 
@@ -167,11 +167,11 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    # steps >= seq_len^2 >= 4^b, past 10^4300 from b = 7143 on: such a seq_len is not squared.
-    b = params.seq_len.bit_length() - 1
+    # steps >= seq_len^2 >= 4^b, past 10^4300 from b = 7143 on: such a seq_len is not built.
+    b = params.l + params.block_size.bit_length() - 1  # seq_len.bit_length() - 1
     steps = params.l * params.seq_len**2 if b < 7143 else None
     if steps is None or steps > WITNESS_MAX_SHIFT_STEPS:
-        amount = f"more than 2^{2 * b - 1}" if steps is None else _printable(steps)
+        amount = f"more than 2^{counting.printable(2 * b - 1)}" if steps is None else counting.printable(steps)
         return _refuse(out, f"the shift search takes {amount} steps, above the witness limit of {WITNESS_MAX_SHIFT_STEPS}")
     if args.coloring is not None:
         coloring = read_coloring(params, args.coloring)
@@ -207,10 +207,10 @@ def cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_verify_small(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    if params.num_vertices > MAX_EXHAUSTIVE_VERTICES:
-        return _refuse(
-            out, f"{_printable(params.num_vertices)} vertices exceed the exhaustive limit of {MAX_EXHAUSTIVE_VERTICES}"
-        )
+    # (2l-1) * k/l * 2^l vertices, past the limit from 2^l on: then the count is not built.
+    if params.l >= MAX_EXHAUSTIVE_VERTICES.bit_length() or params.num_vertices > MAX_EXHAUSTIVE_VERTICES:
+        amount = counting.printable(params.num_sequences * params.block_size, params.l)
+        return _refuse(out, f"{amount} vertices exceed the exhaustive limit of {MAX_EXHAUSTIVE_VERTICES}")
     proper = find_proper_coloring(distinct_hypergraph(params, args.edge_cap))
     checked = 2**params.num_vertices
     if proper is None:

@@ -183,11 +183,12 @@ def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:
     """edge_count(params), or EdgeCapError when it exceeds edge_cap (None: no cap).
 
-    Refused uncomputed when its log2 bracket starts past the cap and 2 * COUNT_MAX_BITS.
+    Refused uncomputed, from (k, l) alone, when its log2 bracket starts past
+    the cap and 2 * COUNT_MAX_BITS.
     """
     lower = int(counting._log2_count_range(params.k, params.l)[0])
     if edge_cap is not None and lower > max(edge_cap.bit_length(), 2 * counting.COUNT_MAX_BITS):
-        raise EdgeCapError(f"more than 2^{lower}", edge_cap)
+        raise EdgeCapError(f"more than 2^{counting.printable(lower)}", edge_cap)
     expected = counting.edge_count(params)
     if edge_cap is not None and expected > edge_cap:
         raise EdgeCapError(expected, edge_cap)

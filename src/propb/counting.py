@@ -1,7 +1,8 @@
 """Exact edge counts, their bit lengths and conservative analytic upper bounds.
 
 Counts are arbitrary-precision integers, never floats; count_bits tells
-their bit length from a float bracket first.  Bounds involve the constant
+their bit length from a float bracket first, and printable states a number
+too long to print by its bit count.  Bounds involve the constant
 e, so they are returned as rational enclosures (BoundValue): the upper end
 is safe when a bound is used as a size estimate, the lower end is the one
 to compare against when certifying `quantity <= bound`, so a check can
@@ -129,14 +130,21 @@ def _log2_count_range(k: int, l: int) -> tuple[float, float]:
     With r = k/l and n = seq_len = 2^l * r, C(n, r) lies between 2^(nH)/(n+1)
     and 2^(nH), where nH = n * H(2^-l) = r*l + r*(2^l - 1)*log2(1/(1 - 2^-l))
     (H the binary entropy).  The other two factors, C(2l-1, l) and n^l, are
-    taken through lgamma and log2.
+    taken through lgamma and log2.  Where r or l is past that float
+    arithmetic the range is the int k + l*l to inf: C(n, r) >= (n/r)^r = 2^k
+    and n^l >= 2^(l*l).
     """
-    r = k // l
-    log2_n = l + math.log2(r)  # n = 2^l * r is never built: it has about l bits
-    x = 2.0**-l  # 0.0 once 2^-l underflows, where the factor below tends to 1
-    factor = -math.log1p(-x) / x * (1 - x) if x else 1.0  # (2^l - 1) * ln(1/(1 - 2^-l))
-    log_binomials = math.lgamma(2 * l) - math.lgamma(l + 1) - math.lgamma(l) + r * factor
-    hi = log_binomials / math.log(2) + r * l + l * log2_n
+    try:
+        r = k // l
+        log2_n = l + math.log2(r)  # n = 2^l * r is never built: it has about l bits
+        x = 2.0**-l  # 0.0 once 2^-l underflows, where the factor below tends to 1
+        factor = -math.log1p(-x) / x * (1 - x) if x else 1.0  # (2^l - 1) * ln(1/(1 - 2^-l))
+        log_binomials = math.lgamma(2 * l) - math.lgamma(l + 1) - math.lgamma(l) + r * factor
+        hi = log_binomials / math.log(2) + r * l + l * log2_n
+    except OverflowError:
+        hi = math.inf
+    if hi == math.inf:
+        return k + l * l, hi
     # Widened far beyond the float rounding error, about 1e-15 of the value.
     margin = 4 + 1e-9 * hi
     return hi - (log2_n + math.log1p(2.0**-log2_n) / math.log(2)) - margin, hi + margin
@@ -149,21 +157,36 @@ def count_bits(k: int, l: int) -> int | str:
     and n = 2^l * r, within 1/(6r ln 2) of r*l + r*(2^l - 1)*log2(1/(1 - 2^-l))
     - log2(2*pi*r*(1 - 2^-l))/2.  Widened by the float error, that bracket
     settles the bit length unless it holds an integer; then the count is
-    computed, below 2*10^6 bits.  Lower bounds: "more than l*l" from l*l =
-    COUNT_MAX_BITS on (the count is at least seq_len^l), else by
-    _log2_count_range, as for a block past sys.maxsize (math.comb's limit).
+    computed, below 2*10^6 bits.  Lower bounds, as printable() states them:
+    "more than l*l" from l*l = COUNT_MAX_BITS on (the count is at least
+    seq_len^l), else the lower end of _log2_count_range, as for a block past
+    sys.maxsize (math.comb's limit) or an r past the float range.
     """
     if l * l >= COUNT_MAX_BITS:
-        return f"more than {l * l}"
+        return f"more than {printable(l * l)}"
     r, x = k // l, 2.0**-l
-    binomial = r * l - r * (2**l - 1) * math.log1p(-x) / math.log(2) - math.log2(2 * math.pi * r * (1 - x)) / 2
-    estimate = math.log2(math.comb(2 * l - 1, l)) + l * (l + math.log2(r)) + binomial
-    margin = 1 / (6 * r * math.log(2)) + 1e-12 * (estimate + 1)
-    if math.floor(estimate - margin) == math.floor(estimate + margin):
-        return math.floor(estimate) + 1
+    try:
+        binomial = r * l - r * (2**l - 1) * math.log1p(-x) / math.log(2) - math.log2(2 * math.pi * r * (1 - x)) / 2
+        estimate = math.log2(math.comb(2 * l - 1, l)) + l * (l + math.log2(r)) + binomial
+        margin = 1 / (6 * r * math.log(2)) + 1e-12 * (estimate + 1)
+        if math.floor(estimate - margin) == math.floor(estimate + margin):
+            return math.floor(estimate) + 1
+    except (OverflowError, ValueError):  # r past the float range: inf, or inf - inf = nan
+        estimate = math.inf
     if estimate < 2e6:  # a 2*10^6-bit count takes about a minute
         return edge_count(validate_params(k, l)).bit_length()
-    return f"more than {int(_log2_count_range(k, l)[0])}"
+    return f"more than {printable(int(_log2_count_range(k, l)[0]))}"
+
+
+def printable(factor: int, shift: int = 0) -> str:
+    """factor * 2^shift in full below 10^4300, where CPython 3.11 stops printing ints by default; else its bit count.
+
+    Never builds a number of more than 14,285 bits, the bit length of 10^4300.
+    """
+    bits = factor.bit_length() + shift
+    if bits <= 14_285 and (n := factor << shift) < 10**4300:
+        return str(n)
+    return f"a {bits}-bit number of"
 
 
 def best_l(k: int) -> int:

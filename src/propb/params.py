@@ -5,6 +5,9 @@ An instance is a pair (k, l): edges have k vertices, assembled from l of the
 seq_len = 2^l * k / l positions, so l must divide k.  A vertex is addressed
 as (seq, pos) and encoded as the integer seq * seq_len + pos; text formats
 number vertices 1-based in that same order.
+
+Params holds k and l alone; every other size is derived from them on read,
+so a size refusal can rule from (k, l) before a number of l bits is built.
 """
 
 from __future__ import annotations
@@ -17,12 +20,21 @@ class ParameterError(ValueError):
 
 
 class Params(NamedTuple):
-    """Validated instance parameters; construct via validate_params()."""
+    """Validated instance parameters, k and l; construct via validate_params().
+
+    block_size, seq_len, num_sequences and num_vertices are computed on read.
+    """
 
     k: int
     l: int
-    seq_len: int
-    block_size: int
+
+    @property
+    def block_size(self) -> int:
+        return self.k // self.l
+
+    @property
+    def seq_len(self) -> int:
+        return self.block_size << self.l
 
     @property
     def num_sequences(self) -> int:
@@ -34,7 +46,7 @@ class Params(NamedTuple):
 
 
 def validate_params(k: int, l: int) -> Params:
-    """Check a (k, l) pair and derive seq_len = 2^l*k/l and block_size = k/l.
+    """Check a (k, l) pair, in a time that does not grow with l; Params derives the rest on read.
 
     Raises ParameterError unless 1 <= l <= k and l divides k.
     """
@@ -46,6 +58,4 @@ def validate_params(k: int, l: int) -> Params:
         raise ParameterError(f"l must not exceed k, got k={k}, l={l}")
     if k % l != 0:
         raise ParameterError(f"l must divide k, got k={k}, l={l}")
-    block_size = k // l
-    seq_len = block_size << l
-    return Params(k=k, l=l, seq_len=seq_len, block_size=block_size)
+    return Params(k=k, l=l)

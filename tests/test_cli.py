@@ -510,6 +510,41 @@ def test_a_refusal_at_l_of_a_billion_comes_in_start_up_time():
 
 
 STEPS = "refusing: the shift search takes {} steps, above the witness limit of 10000000\n"
+BILLIONS = ("--k", str(8 * 10**9), "--l", str(8 * 10**9))
+HUGE = ("--k", str(9 * 10**4299), "--l", str(9 * 10**4299))
+CAP = "error: construction would emit more than 2^{} edges, above the cap of 10000000\n"
+TOO_LONG = "refusing: the exact edge count has more than {} bits, above the printing limit of 14000\n"
+VERTICES = "refusing: {} vertices exceed the exhaustive limit of 26\n"
+HUGE_PROBES = [
+    # Params once held seq_len, an int of l bits: a MemoryError here.
+    (("gen", *BILLIONS), CAP.format(63999999951999991808)),
+    (("solve", *BILLIONS), CAP.format(63999999951999991808)),
+    (("count", *BILLIONS), TOO_LONG.format(64 * 10**18)),
+    (("witness", *BILLIONS, "--seed", "1"), STEPS.format("more than 2^15999999999")),
+    (("verify-small", *BILLIONS), VERTICES.format("a 8000000034-bit number of")),
+    # A k past the float range: an OverflowError in the count's log2
+    # bracket.  Every count is at least 2^(k + l*l).
+    (("count", "--k", str(10**400), "--l", "1"), TOO_LONG.format(10**400 + 1)),
+    (("gen", "--k", str(10**400), "--l", "1"), CAP.format(10**400 + 1)),
+    (("solve", "--k", str(10**400), "--l", "1"), CAP.format(10**400 + 1)),
+    (("gen", "--k", str(10**400), "--l", str(10**400)), CAP.format(10**800 + 10**400)),
+    # A refusal's number past 4300 digits: k*k, l*l, 2b - 1 and the vertex count.
+    (("bound", "--k", str(10**3000)), TOO_LONG.format("a 19932-bit number of")),
+    (("count", "--k", str(10**3000), "--l", str(10**3000)), TOO_LONG.format("a 19932-bit number of")),
+    (("witness", *HUGE, "--seed", "1"), STEPS.format("more than 2^a 14286-bit number of")),
+    (("verify-small", *HUGE), VERTICES.format(f"a {9 * 10**4299 + 14286}-bit number of")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    HUGE_PROBES,
+    ids=[" ".join(f"<{len(a)} digits>" if len(a) > 12 else a for a in argv) for argv, _ in HUGE_PROBES],
+)
+def test_a_huge_k_and_l_are_refused_from_k_and_l_in_start_up_time(argv, line):
+    code, out, err, seconds = run_limited(*argv)
+    assert (code, out + err) == (3, line)
+    assert seconds < 1
 
 
 @pytest.mark.parametrize(
@@ -823,7 +858,7 @@ OPTIONS = {
     "--seed": st.one_of(st.integers(-5, 10**6).map(str), st.just("seed")),
     "--format": st.sampled_from(["edges", "dimacs", "xml"]),
     "--dedup": st.none(),
-    "--coloring": st.sampled_from(["random bytes", "directory", "missing"]),
+    "--coloring": st.sampled_from(["random bytes", "directory", "missing", "/dev/zero"]),
 }
 CAPPED = ("gen", "solve", "verify-small")
 
@@ -857,6 +892,10 @@ def fuzz_argv(draw):
 # A refusal number past that limit: witness's shift steps, verify-small's vertex count.
 @example((["witness", "--k", "20000", "--l", "20000", "--seed", "1"], b""))
 @example((["verify-small", "--k", "20000", "--l", "20000"], b""))
+# A k past the float range, and a refusal's k*k past 4300 digits.
+@example((["count", "--k", str(10**400), "--l", "1"], b""))
+@example((["gen", "--k", str(10**400), "--l", "1"], b""))
+@example((["bound", "--k", str(10**3000)], b""))
 @example((["witness", "--k", "2", "--l", "1", "--coloring", "random bytes"], "RRBÉ".encode()))
 @example((["witness", "--k", "2", "--l", "1", "--coloring", "directory"], b""))
 def test_cli_fuzz_exit_codes(case):

@@ -288,8 +288,12 @@ def test_count_bits_of_large_counts_computes_no_count(monkeypatch):
     assert count_bits(300000, 1) == 600010
     # Lower bounds: seq_len^l >= 2^(l*l), and a bracket too wide to settle.
     assert count_bits(128, 128) == "more than 16384"
-    for k in (10**18, 10**20):
+    # From k = 2.9*10^307 on, Stirling's floats overflow to inf or nan; the
+    # bracket holds below 9*10^307, and past it every count is >= 2^(k + l*l).
+    for k in (10**18, 10**20, 29 * 10**306):
         assert count_bits(k, 1) == f"more than {int(counting._log2_count_range(k, 1)[0])}"
+    assert counting._log2_count_range(10**400, 1) == (10**400 + 1, math.inf)
+    assert count_bits(10**400, 1) == f"more than {10**400 + 1}"
 
 
 def test_the_l_equals_k_row_has_the_longest_count_up_to_k_118():

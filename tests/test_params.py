@@ -1,4 +1,5 @@
 import ast
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from propb.params import ParameterError, Params, validate_params
 
 def test_k2_l1():
     p = validate_params(2, 1)
-    assert p == Params(k=2, l=1, seq_len=4, block_size=2)
+    assert p == Params(k=2, l=1)
+    assert p.seq_len == 4
+    assert p.block_size == 2
     assert p.num_sequences == 1
     assert p.num_vertices == 4
 
@@ -50,6 +53,15 @@ def test_derived_fields(k, l):
     assert p.seq_len == 2**l * k // l
     assert p.block_size * l == k
     assert p.seq_len >= p.block_size
+
+
+def test_params_hold_k_and_l_alone_so_any_size_validates_at_once():
+    start = time.perf_counter()
+    p = validate_params(10**400, 10**400)
+    assert time.perf_counter() - start < 0.1
+    assert Params._fields == ("k", "l")
+    assert p == Params(k=10**400, l=10**400)
+    assert (p.block_size, p.num_sequences) == (1, 2 * 10**400 - 1)
 
 
 def test_params_hash_and_compare_by_value():

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,7 @@ from helpers import (
     max_aligned_by_enumeration,
 )
 from propb.construction import build_full, dedup, distinct_hypergraph, Hypergraph
-from propb.params import ParameterError, Params, validate_params
+from propb.params import ParameterError, validate_params
 from propb.satbridge import dpll_satisfiable, hypergraph_to_cnf
 from propb.witness import (
     BLUE,
@@ -362,7 +363,8 @@ def test_find_proper_coloring_checks_every_vertex_before_an_empty_edge_decides()
 
 
 def _universe(n):
-    return Params(k=1, l=1, seq_len=n, block_size=1)
+    # A Params holds no free vertex count; num_vertices is all find_proper_coloring reads.
+    return SimpleNamespace(num_vertices=n)
 
 
 def _proper_exists(n, edges):
