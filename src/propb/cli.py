@@ -8,9 +8,11 @@ verify-small (exhaustive non-2-colorability check).
 gen takes its renderer and header line from one format table, FORMATS, and
 writes the header (the multiset or, for --dedup, the closed-form distinct
 count), then the chunks of iter_edge_chunks or iter_distinct_chunks.  Beside
-one chunk, the buffer it is joined from and the parts (vertex names and
-block lines rendered once), it holds one subset's shifted tables or, for
---dedup, the later columns of each orbit for the current lowest sequence.
+one chunk and the buffer it is joined from, it holds the part tables (block
+lines rendered once) of the current sequence subset or, for --dedup, lowest
+sequence, each dropped after the last one that uses it.  With them it holds
+one shift of the subset's first sequence and every shift of its later ones
+or, for --dedup, the later columns of each orbit for the lowest sequence.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses

@@ -21,18 +21,22 @@ distinct_hypergraph holds that stream, already in dedup()'s order.
 
 Both engines yield groups of one shape: a list of part columns, column c
 holding, edge by edge, the `render` parts of each edge's c-th chosen
-sequence.  _tables renders every part once per run, from each sequence's
-vertex names rendered once: a text render gets a block's edge_line and adds
-its tail (and, for satbridge.dual_clause_parts, a negated copy).  _join adds
-a group's columns into edge tuples, for iter_edges and iter_distinct_edges;
+sequence.  _tables renders each sequence's table once per run, in the role
+of an inner or of the last chosen sequence, when the first sequence subset
+(multiset) or lowest sequence (distinct) that uses it starts, and drops it
+after the last.  A table joins its blocks from the sequence's vertex names
+rendered once; a text render gets a block's edge_line and adds its tail
+(and, for satbridge.dual_clause_parts, a negated copy).  _join adds a
+group's columns into edge tuples, for iter_edges and iter_distinct_edges;
 _chunks, for both text streams, puts part i of each column in turn in one
 buffer, rewriting only the columns that are not the objects it last took:
 unchanged shifts, or an orbit's shared later columns.  The multiset engine,
 _groups, yields one group per (sequence subset, shift tuple): a shifted
-table per chosen sequence.  The distinct engine, _distinct_groups, yields
-one per (lowest sequence, block): the head's parts repeated, then the later
-columns, built once per translation orbit of the block by one recursion.
-At l = 1 a group is _L1_GROUP_BLOCKS blocks, named as they stream.
+table per chosen sequence, the first one's made one shift at a time.  The
+distinct engine, _distinct_groups, yields one per (lowest sequence, block):
+the head's parts repeated, then the later columns, built once per
+translation orbit of the block by one recursion.  At l = 1 a group is
+_L1_GROUP_BLOCKS blocks, named as they stream.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers;
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cached_property
+from functools import cache, cached_property
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from . import counting
@@ -87,30 +91,42 @@ def _named(render: Render, seq: int, kp: int, blocks: Iterable[tuple[int, ...]])
     """The blocks of positions on seq as edge_lines joined from names made once (vertex tuples for _tuple_parts)."""
     vertices = range(seq * kp, (seq + 1) * kp)
     names, join = (vertices, tuple) if render is _tuple_parts else (edge_line(vertices).split(" "), " ".join)
-    return (join(map(names.__getitem__, block)) for block in blocks)
+    return map(join, map(map, itertools.repeat(names.__getitem__), blocks))
 
 
-def _tables(params: Params, render: Render) -> tuple[list[int], dict[int, list], dict[int, list], int]:
-    """step, inner, final and the parts per block: each (sequence, block) named once.
+def _step(params: Params) -> list[int]:
+    """Per block, in combinations order, the index of its translate by +1."""
+    kp = params.seq_len
+    blocks = list(itertools.combinations(range(kp), params.block_size))
+    rank = {block: i for i, block in enumerate(blocks)}
+    return [rank[tuple(sorted([(r + 1) % kp for r in block]))] for block in blocks]
 
-    Blocks are in combinations order; block i translated by +1 is block
-    step[i].  inner[seq] (final[seq]) holds every block's `render` parts in
-    turn, for each seq that can be a chosen sequence that another follows
-    (that is last).  Chosen sequences ascend, so joined parts are sorted.
+
+def _tables(
+    params: Params, render: Render, phases: list[list[tuple[int, ...]]]
+) -> Iterator[dict[tuple[int, bool], list]]:
+    """Per phase, one dict holding the part tables its sequence subsets use, by (seq, last).
+
+    A subset's last sequence uses its last table, any other its inner one;
+    chosen sequences ascend, so joined parts are sorted.
+    A table holds every block's `render` parts in turn, blocks in
+    combinations order, joined from the sequence's vertex names made once.
+    It is rendered when the first phase that uses it starts and leaves the
+    dict after the last one, freed then unless the caller still refers to it.
     """
-    kp, n, l = params.seq_len, params.num_sequences, params.l
-    combos = list(itertools.combinations(range(kp), params.block_size))
-    index = {block: i for i, block in enumerate(combos)}
-    step = [index[tuple(sorted([(r + 1) % kp for r in block]))] for block in combos]
-    inner, final = {}, {}
-    for seq in range(n):
-        blocks = list(_named(render, seq, kp, combos))
-        if seq < n - 1:
-            inner[seq] = [part for block in blocks for part in render(block, False)]
-        if seq >= l - 1:
-            final[seq] = [part for block in blocks for part in render(block, True)]
-        del blocks  # freed before the next sequence is named
-    return step, inner, final, len(final[n - 1]) // len(combos)
+    kp, l = params.seq_len, params.l
+    uses = [dict.fromkeys((seq, j == l - 1) for chosen in phase for j, seq in enumerate(chosen)) for phase in phases]
+    last_use = {key: i for i, keys in enumerate(uses) for key in keys}
+    tables: dict[tuple[int, bool], list] = {}
+    for i, keys in enumerate(uses):
+        for seq, last in keys:
+            if (seq, last) not in tables:
+                blocks = _named(render, seq, kp, itertools.combinations(range(kp), params.block_size))
+                tables[seq, last] = [part for block in blocks for part in render(block, last)]
+        yield tables
+        for key in keys:
+            if last_use[key] == i:
+                del tables[key]
 
 
 def _tuple_parts(vertices: Edge, last: bool) -> tuple[Edge]:
@@ -123,18 +139,24 @@ def _groups(params: Params, render: Render) -> Iterator[Sequence[list]]:
     A group is one table per chosen sequence, every block an edge: subsets
     in lexicographic order, then shift tuple major, block minor.  A shift
     only permutes a sequence's blocks, so its table refers to the parts of
-    inner, or for the last chosen sequence of final.
+    the sequence's table.  The first chosen sequence's shifted tables are
+    made one at a time; the later ones', which cycle under it, once per subset.
     """
-    step, inner, final, width = _tables(params, render)
-    wide_step = operator.itemgetter(*[width * s + j for s in step for j in range(width)])
+    step = _step(params)
+    # Translates a table of `width` parts per block by +1; built once per run.
+    wide_step = cache(lambda width: operator.itemgetter(*[width * s + j for s in step for j in range(width)]))
 
-    def shifted(table: list) -> list[Sequence]:  # per shift s, table's blocks translated by s
-        return list(itertools.accumulate(range(params.seq_len - 1), lambda t, _: wide_step(t), initial=table))
+    def shifted(table: list) -> Iterator[Sequence]:  # per shift s, table's blocks translated by s
+        translate = wide_step(len(table) // len(step))
+        return itertools.accumulate(range(params.seq_len - 1), lambda t, _: translate(t), initial=table)
 
-    for *heads, last in itertools.combinations(range(params.num_sequences), params.l):
-        # Bound to no name, and callers keep at most the last group's columns,
-        # so only one subset's shifted tables are alive at a time.
-        yield from itertools.product(*[shifted(inner[seq]) for seq in heads], shifted(final[last]))
+    subsets = list(itertools.combinations(range(params.num_sequences), params.l))
+    for chosen, tables in zip(subsets, _tables(params, render, [[chosen] for chosen in subsets])):
+        head, *later = [tables[seq, seq == chosen[-1]] for seq in chosen]
+        later_shifts = [list(shifted(table)) for table in later]
+        for table in shifted(head):
+            yield from itertools.product((table,), *later_shifts)
+        del head, later, later_shifts, table  # dropped before the next subset's tables are rendered and shifted
 
 
 def _join(columns: Sequence[list]) -> Iterable[Edge]:
@@ -174,8 +196,10 @@ def edge_line_parts(line: str, last: bool) -> tuple[str]:
 def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
     """The text of the edges of iter_edges, in order, C(seq_len, block_size) edges per chunk.
 
-    A chunk is one (sequence subset, shift tuple) group.  Only one subset's
-    tables, the buffer of _chunks and one chunk are alive at a time.
+    A chunk is one (sequence subset, shift tuple) group.  Alive at a time
+    are the part tables of the current subset (and of those a later subset
+    still uses), one shifted table of its first sequence, every shifted
+    table of its later ones, the buffer of _chunks and one chunk.
     """
     return _chunks(_groups(params, render), params.l)
 
@@ -253,8 +277,11 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
             count += len(group)
             yield [[part for block in group for part in render(block, True)]]
     else:
-        step, inner, final, width = _tables(params, render)
+        step = _step(params)
         orbits = _orbits(step)
+        # Phase `first` holds every sequence subset whose lowest sequence is first.
+        subsets = itertools.combinations(range(n), l)
+        phases = [list(phase) for _, phase in itertools.groupby(subsets, operator.itemgetter(0))]
 
         def later(orbit: list[int], s: int, depth: int) -> list[list]:
             """The columns of the ways on past sequence s, `depth` sequences to go.
@@ -266,13 +293,15 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
             for t in range(s + 1, n - depth + 1):
                 rest = later(orbit, t, depth - 1) if depth > 1 else []
                 ways = len(rest[0]) // width if rest else 1
-                table = final[t] if depth == 1 else inner[t]
+                table = tables[t, depth == 1]
                 columns[0] += [part for o in orbit for part in table[o * width : (o + 1) * width] * ways]
                 for column, deeper in zip(columns[1:], rest):
                     column += deeper * len(orbit)
             return columns
 
-        for first in range(n - l + 1):
+        for first, tables in enumerate(_tables(params, render, phases)):
+            head = tables[first, False]
+            width = len(head) // len(step)
             later_of: dict[int, list[list]] = {}  # by the orbit's lowest block
             for i, orbit in enumerate(orbits):
                 columns = later_of.get(orbit[0])
@@ -280,7 +309,8 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
                     columns = later_of[orbit[0]] = later(orbit, first, l - 1)
                 edges = len(columns[0]) // width
                 count += edges
-                yield [inner[first][i * width : (i + 1) * width] * edges, *columns]
+                yield [head[i * width : (i + 1) * width] * edges, *columns]
+            del head, later_of, columns  # so _tables frees this phase's tables before it renders the next
     expected = counting.distinct_edge_count(params)
     if count != expected:
         raise AssertionError(f"built {count} distinct edges, formula says {expected}")

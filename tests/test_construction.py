@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -277,15 +278,28 @@ def test_distinct_chunks_hold_one_lowest_sequence_and_block_each(k, l, render, l
     assert sum(chunk.count("\n") for chunk in chunks) == lines_per_edge * distinct_edge_count(p)
 
 
-@pytest.mark.parametrize("k,l", [(8, 2), (6, 3)])
-def test_edge_chunks_render_each_sequence_block_once(k, l, monkeypatch):
-    # Each of the 2l - 1 sequences is rendered once as a non-last chosen
-    # sequence (all but the last one) and once as the last (all but the
-    # first l - 1): 3l - 2 tables of C(seq_len, k/l) blocks for the whole run.
-    # A block comes as its edge_line, joined from names that edge_line
-    # renders once per sequence, so once per vertex.
+@pytest.mark.parametrize(
+    "engine,k,l,held",
+    [
+        ("_groups", 8, 2, 2),
+        ("_groups", 6, 3, 6),
+        ("_groups", 4, 4, 9),
+        ("_distinct_groups", 8, 2, 3),
+        ("_distinct_groups", 6, 3, 7),
+        ("_distinct_groups", 4, 4, 10),
+    ],
+)
+def test_engines_render_each_table_once(engine, k, l, held, monkeypatch):
+    # Each of the 2l - 1 sequences has an inner table, used where it is a
+    # chosen sequence that another follows (all but the last sequence), and a
+    # last table (all but the first l - 1): 3l - 2 tables of C(seq_len, k/l)
+    # blocks.  Each engine renders each table once, when the first sequence
+    # subset (multiset) or lowest sequence (distinct) that uses it starts, and
+    # drops it after the last: at most `held` tables are alive at a time.  A
+    # block comes as its edge_line, joined from names that edge_line renders
+    # once per table.
     p = validate_params(k, l)
-    calls, named = [], []
+    calls, named, alive = [], [], []
 
     def render(line, last):
         calls.append((line, last))
@@ -295,16 +309,42 @@ def test_edge_chunks_render_each_sequence_block_once(k, l, monkeypatch):
         named.append(tuple(vertices))
         return edge_line(vertices)
 
+    def tables(*args):
+        for phase in real_tables(*args):
+            alive.append(len(phase))
+            yield phase
+
+    real_tables = construction._tables
     monkeypatch.setattr(construction, "edge_line", naming)
-    collections.deque(iter_edge_chunks(p, render), maxlen=0)
-    assert len(calls) == (3 * l - 2) * math.comb(p.seq_len, p.block_size)
-    assert len(calls) == {(8, 2): 7280, (6, 3): 840}[k, l]
-    assert len(set(calls)) == len(calls)
-    kp = p.seq_len
-    assert named == [tuple(range(seq * kp, (seq + 1) * kp)) for seq in range(p.num_sequences)]
+    monkeypatch.setattr(construction, "_tables", tables)
+    collections.deque(getattr(construction, engine)(p, render), maxlen=0)
+    n, kp = p.num_sequences, p.seq_len
+    assert len(set(calls)) == len(calls) == {(8, 2): 7280, (6, 3): 840, (4, 4): 160}[k, l]
+    rendered = collections.Counter(((int(line.split(" ")[0]) - 1) // kp, last) for line, last in calls)
+    expected = [(seq, False) for seq in range(n - 1)] + [(seq, True) for seq in range(l - 1, n)]
+    assert rendered == dict.fromkeys(expected, math.comb(kp, p.block_size))
+    assert max(alive) == held
+    assert sorted(named) == sorted(tuple(range(seq * kp, (seq + 1) * kp)) for seq, _ in expected)
     blocks = itertools.combinations(range(kp), p.block_size)
-    lines = {edge_line([seq * kp + r for r in block]) for block in blocks for seq in range(p.num_sequences)}
+    lines = {edge_line([seq * kp + r for r in block]) for block in blocks for seq in range(n)}
     assert {line for line, _ in calls} == lines
+
+
+@pytest.mark.parametrize("k,l,bound_mb", [(8, 1, 6.3), (8, 2, 2.0)])
+def test_edge_chunks_drain_in_bounded_memory(k, l, bound_mb):
+    # Held at a time: the part tables that the current or a later sequence
+    # subset uses, one shift of the first chosen sequence and every shift of
+    # the later ones.  That peaks at 4.7 and 1.5 MB (DIMACS, CPython 3.11);
+    # every part table and every shift of each chosen sequence, held for a
+    # whole subset, peak at 7.6 and 2.3 MB.
+    p = validate_params(k, l)
+    tracemalloc.start()
+    try:
+        collections.deque(iter_edge_chunks(p, dual_clause_parts), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 @pytest.mark.parametrize("render", [edge_line_parts, dual_clause_parts])
