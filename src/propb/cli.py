@@ -17,11 +17,13 @@ or, for --dedup, the later columns of each orbit for the lowest sequence.
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
 instances whose shift search, l * seq_len^2 steps, exceeds
-WITNESS_MAX_SHIFT_STEPS.  gen --dedup streams the distinct edges; solve
-(with or without --dedup) and verify-small hold them, in memory proportional
-to their number.  None builds the multiset, but the edge cap still applies
-to the multiset count.  solve --dedup reports the distinct clause count, solve
-without it the multiset's; the verdict and decisions are the same.  count
+WITNESS_MAX_SHIFT_STEPS.  gen --dedup streams the distinct edges and
+verify-small holds them; solve (with or without --dedup) holds one tuple of
+variables per distinct edge and the clause masks, but no hypergraph or CNF.
+Both need memory proportional to the number of distinct edges.  None builds
+the multiset, but the edge cap still applies to the multiset count.  solve
+--dedup reports the distinct clause count, solve without it the
+multiset's; the verdict and decisions are the same.  count
 and bound refuse, before printing anything, when an exact edge count they
 would print has more than COUNT_MAX_BITS bits, as counting.count_bits
 tells them before any count is computed (bound asks about its l = k row).
@@ -67,7 +69,7 @@ from .construction import (
 )
 from .counting import COUNT_MAX_BITS
 from .params import ParameterError, Params, validate_params
-from .satbridge import dpll_satisfiable, dual_clause_parts, dual_dimacs_header, hypergraph_to_cnf
+from .satbridge import dual_clause_parts, dual_dimacs_header, dual_satisfiable
 from .witness import (
     MAX_EXHAUSTIVE_VERTICES,
     find_proper_coloring,
@@ -193,12 +195,12 @@ def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
 
 def cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    cnf = hypergraph_to_cnf(distinct_hypergraph(params, args.edge_cap))
-    result = dpll_satisfiable(cnf)
-    # The solver drops duplicate clauses, so the multiset dual is decided by
-    # its distinct clauses; without --dedup it is still the one reported.
-    clauses = len(cnf.clauses) if args.dedup else 2 * counting.edge_count(params)
-    stats = f"variables = {cnf.variable_count}, clauses = {clauses}, decisions = {result.decisions}"
+    count = check_edge_cap(params, args.edge_cap)
+    result = dual_satisfiable(params)
+    # Duplicate edges give duplicate clauses, so the multiset dual is decided
+    # by its distinct clauses; without --dedup it is still the one reported.
+    clauses = 2 * (counting.distinct_edge_count(params) if args.dedup else count)
+    stats = f"variables = {params.num_vertices}, clauses = {clauses}, decisions = {result.decisions}"
     if result.satisfiable:
         out.write(f"satisfiable ({stats})\n")
         out.write("ERROR: the dual CNF must be unsatisfiable; this is a bug\n")

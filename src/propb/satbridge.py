@@ -15,17 +15,24 @@ false.  An assignment updates the ints with a handful of bitwise
 operations, none making a negative int, and the count planes in place.  A
 decision saves the whole state as one snapshot (the unsatisfied clauses by
 reference, the plane list and the values as copies), and a backtrack
-restores it.  Its set-up is one pass over the literal occurrences
+restores it.  Its state comes from the literal masks, which one of two
+set-ups builds.  From a Cnf, it is one pass over the literal occurrences
 (two if a clause repeats a literal) and the one check of the clause set.
-It is deterministic, complete at desk scale, and verifies any model.
+From the distinct edge stream (dual_satisfiable, which solve uses), it is
+one pass over the edges' vertices, with no Hypergraph or Cnf held: each
+edge is one tuple of its variables, shared by its plain and its negated
+clause, which a polarity byte tells apart, and the strictly ascending
+sorted stream makes the clauses distinct without a dedup.  It is
+deterministic, complete at desk scale, and verifies any model.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import NamedTuple, Sequence
+import operator
+from itertools import chain, compress, repeat
+from typing import Iterable, NamedTuple, Sequence
 
-from .construction import Hypergraph
+from .construction import Hypergraph, iter_distinct_edges
 from .params import Params
 
 Clause = tuple[int, ...]
@@ -68,12 +75,21 @@ def assignment_satisfies(cnf: Cnf, assignment: dict[int, bool]) -> bool:
     )
 
 
+def _vertices(variables: Clause) -> Clause:
+    """An edge of 1-based variables as its 0-based vertices."""
+    return tuple(v - 1 for v in variables)
+
+
 class _Dpll:
     """DPLL over bitmasks of clause indices.
 
     Bit i of `pos[v]` (`neg[v]`) is set when clause i holds v (-v), never
-    both: the set-up raises ValueError on a negative variable count, a
-    literal 0 or beyond it, and a clause holding a literal and its negation.
+    both: the Cnf set-up raises ValueError on a negative variable count, a
+    literal 0 or beyond it, and a clause holding a literal and its negation,
+    and `dual` on edges that do not make distinct k-wide clauses.  Clause
+    i's unit literal is the free variable of `clauses[i]`, negated where
+    `polarity[i]` is 1: never from a Cnf, whose clauses hold signed
+    literals, and for each negated clause of `dual`.
     `unsat` holds the clauses with no true literal, and `planes[j]` holds bit
     j of each clause's count of literals not yet false, at first the
     bit-sliced sum of the literal masks.  Only unsatisfied clauses' counts
@@ -90,7 +106,7 @@ class _Dpll:
         # Solve the distinct set, so each count starts at its clause's true width:
         # sorted clauses, or sorted sets once the masks show a repeated literal.
         # A clause already in that form is kept, not copied.
-        self.nvars = n = cnf.variable_count
+        n = cnf.variable_count
         if n < 0:
             raise ValueError(f"negative variable count {n}")
         for canonical in map(sorted, cnf.clauses), map(sorted, map(set, cnf.clauses)):
@@ -108,18 +124,63 @@ class _Dpll:
             masks = {lit: int.from_bytes(b, "little") for lit, b in bits.items()}
             if sum(map(len, clauses)) == sum(mask.bit_count() for mask in masks.values()):
                 break
-        self.clauses = clauses
-        self.decisions = 0
-        self.pos = [0] + [masks[v] for v in range(1, n + 1)]  # index 0 unused
-        self.neg = [0] + [masks[-v] for v in range(1, n + 1)]
+        pos = [0] + [masks[v] for v in range(1, n + 1)]  # index 0 unused
+        neg = [0] + [masks[-v] for v in range(1, n + 1)]
         for v in range(1, n + 1):
-            if both := self.pos[v] & self.neg[v]:
+            if both := pos[v] & neg[v]:
                 clause = clauses[(both ^ (both - 1)).bit_length() - 1]
                 raise ValueError(f"clause {clause} contains both {v} and {-v}")
+        self._start(clauses, bytes(len(clauses)), pos, neg)
+
+    @classmethod
+    def dual(cls, num_vertices: int, k: int, edges: Iterable[Sequence[int]]) -> _Dpll:
+        """The solver of the dual of `edges`, each edge's variable tuple held once.
+
+        Edge i, over 0-based vertices, gives clause 2i plain and clause 2i+1
+        negated, both `clauses` entries the one tuple of its 1-based
+        variables; only `polarity` tells them apart.  Raises ValueError
+        unless the edges are strictly ascending, each one sorted, and every
+        edge is k vertices of 0..num_vertices-1 with none repeated: then
+        the clauses are distinct and canonical, as the Cnf path makes them.
+        """
+        variable = {v: v + 1 for v in range(num_vertices)}  # a KeyError for any other vertex
+        try:
+            variables = list(map(tuple, map(map, repeat(variable.__getitem__), edges)))
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]!r} is outside 0..{num_vertices - 1}") from None
+        # The first edge not above the one before it, then the first unsorted edge.
+        unordered = chain(
+            compress(variables, map(operator.ge, chain(((),), variables), variables)),
+            compress(variables, map(operator.ne, map(sorted, variables), map(list, variables))),
+        )
+        if (edge := next(unordered, None)) is not None:
+            raise ValueError(f"edge {_vertices(edge)} is unsorted or not above the edge before it")
+        if (edge := next(compress(variables, map(k.__ne__, map(len, variables))), None)) is not None:
+            raise ValueError(f"edge {_vertices(edge)} does not have {k} vertices")
+        # Clause 2i's bit, of variable v's plain bitmap, for each edge i holding v.
+        bits = [bytearray((len(variables) + 3) >> 2) for _ in range(num_vertices + 1)]
+        for i, edge in enumerate(variables):
+            byte, bit = i >> 2, 1 << ((i & 3) << 1)
+            for v in edge:
+                bits[v][byte] |= bit
+        pos = [int.from_bytes(b, "little") for b in bits]
+        if sum(map(int.bit_count, pos)) != k * len(variables):
+            raise ValueError(f"edge {_vertices(next(e for e in variables if len(set(e)) != k))} repeats a vertex")
+        clauses: list[Clause] = [()] * (2 * len(variables))
+        clauses[0::2] = clauses[1::2] = variables
+        self = cls.__new__(cls)
+        self._start(clauses, b"\0\1" * len(variables), pos, [p << 1 for p in pos])
+        return self
+
+    def _start(self, clauses: list[Clause], polarity: bytes, pos: list[int], neg: list[int]) -> None:
+        """The search state of distinct clauses, from their literal masks by variable (index 0 unused)."""
+        self.nvars = len(pos) - 1
+        self.clauses, self.polarity, self.pos, self.neg = clauses, polarity, pos, neg
+        self.decisions = 0
         # A variable's score never exceeds its static occurrence count.
-        self.static = [(p | m).bit_count() for p, m in zip(self.pos, self.neg)]
+        self.static = [(p | m).bit_count() for p, m in zip(pos, neg)]
         planes = [0]  # add the literal masks, carrying up: each clause's width
-        for carry in masks.values():
+        for carry in chain(pos, neg):
             for j, plane in enumerate(planes):
                 planes[j], carry = plane ^ carry, plane & carry
                 if not carry:
@@ -128,7 +189,7 @@ class _Dpll:
                 planes.append(carry)
         self.unsat, self.planes = (1 << len(clauses)) - 1, planes
         from array import array  # only the solver needs it
-        self.value = array("b", bytes(n + 1))  # 0 free, +1 true, -1 false
+        self.value = array("b", bytes(self.nvars + 1))  # 0 free, +1 true, -1 false
 
     def _propagate(self, lit: int) -> int | None:
         """Make lit true (none if 0), then close under units and lowest pure literals.
@@ -142,7 +203,7 @@ class _Dpll:
         finds no pure literal is the one that picks it.
         """
         value, pos, neg, static = self.value, self.pos, self.neg, self.static
-        unsat, planes = self.unsat, self.planes
+        unsat, planes, clauses, polarity = self.unsat, self.planes, self.clauses, self.polarity
         while True:
             if lit:
                 v = abs(lit)
@@ -166,9 +227,12 @@ class _Dpll:
             if at_most_one != units:
                 return None
             if units:
-                for lit in self.clauses[units.bit_length() - 1]:
+                ci = units.bit_length() - 1
+                for lit in clauses[ci]:
                     if not value[abs(lit)]:
                         break
+                if polarity[ci]:
+                    lit = -lit
                 continue
             lit = best = best_score = 0
             for v in range(1, self.nvars + 1):
@@ -219,6 +283,21 @@ def dpll_satisfiable(cnf: Cnf) -> SolveResult:
         return SolveResult(False, None, solver.decisions)
     model = {v: solver.value[v] > 0 for v in range(1, cnf.variable_count + 1)}
     if not assignment_satisfies(cnf, model):
+        raise AssertionError("solver produced a non-satisfying model")
+    return SolveResult(True, model, solver.decisions)
+
+
+def dual_satisfiable(params: Params) -> SolveResult:
+    """dpll_satisfiable of the dual of the distinct edges, as _Dpll.dual builds it from their stream.
+
+    Holds no Hypergraph or Cnf.  A model is checked against the edges,
+    streamed again, before it is returned.
+    """
+    solver = _Dpll.dual(params.num_vertices, params.k, iter_distinct_edges(params))
+    if not solver._search():
+        return SolveResult(False, None, solver.decisions)
+    model = {v: solver.value[v] > 0 for v in range(1, params.num_vertices + 1)}
+    if any(len({model[v + 1] for v in edge}) < 2 for edge in iter_distinct_edges(params)):
         raise AssertionError("solver produced a non-satisfying model")
     return SolveResult(True, model, solver.decisions)
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import emit_dimacs, parse_dimacs
-from propb import cli, construction, counting
+from propb import cli, construction, counting, satbridge
 from propb.params import validate_params
 from propb.satbridge import hypergraph_to_cnf
 from propb.witness import random_coloring
@@ -812,6 +812,33 @@ def test_solve_builds_no_multiset(capsys, monkeypatch):
     code, out, _ = run(capsys, "solve", "--k", "4", "--l", "2")
     assert code == 0
     assert out == "unsatisfiable (variables = 24, clauses = 10752, decisions = 87)\n"
+
+
+def test_solve_builds_no_hypergraph_or_cnf(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("solve built a Hypergraph or a Cnf")
+
+    for module, name in ((construction, "distinct_hypergraph"), (satbridge, "hypergraph_to_cnf")):
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
+    for k, l, multiset, distinct in SOLVE_LINES:
+        for flags, stats in (((), multiset), (("--dedup",), distinct)):
+            assert run(capsys, "solve", "--k", str(k), "--l", str(l), *flags) == (
+                0,
+                f"unsatisfiable (variables = {stats})\n",
+                "",
+            )
+
+
+def test_solve_refuses_a_claimed_model_that_colors_an_edge_one_way(capsys, monkeypatch):
+    # A search that claims SAT with every variable unset: the model check, not
+    # the search, decides, so solve exits 4 with one line and no traceback.
+    monkeypatch.setattr(satbridge._Dpll, "_search", lambda self: True)
+    assert run(capsys, "solve", "--k", "3", "--l", "3") == (
+        4,
+        "",
+        "verification failure: solver produced a non-satisfying model\n",
+    )
 
 
 def test_verify_small_confirms(capsys):

@@ -29,6 +29,7 @@ from propb.construction import (
     dedup,
     distinct_hypergraph,
     edge_line,
+    iter_distinct_edges,
     write_edge_list,
 )
 from propb.params import validate_params
@@ -40,6 +41,7 @@ from propb.satbridge import (
     dpll_satisfiable,
     dual_clause_parts,
     dual_dimacs_header,
+    dual_satisfiable,
     hypergraph_to_cnf,
 )
 from propb.witness import find_proper_coloring
@@ -358,6 +360,108 @@ def test_dpll_setup_on_the_6_2_dual_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 3.6e6
+
+
+DUAL_SHAPES = [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (2, 2), (4, 2), (3, 3), (6, 2)]
+
+
+def _dual(p):
+    return _Dpll.dual(p.num_vertices, p.k, iter_distinct_edges(p))
+
+
+@pytest.mark.parametrize("k,l", DUAL_SHAPES, ids=[f"{k}-{l}" for k, l in DUAL_SHAPES])
+def test_dual_setup_equals_the_cnf_setup(k, l):
+    # The set-up from the edge stream against the one from the dual Cnf: the
+    # same masks, planes, scores, clause signs and so the same search.
+    p = validate_params(k, l)
+    cnf_solver, dual_solver = _Dpll(hypergraph_to_cnf(distinct_hypergraph(p))), _dual(p)
+    for name in ("pos", "neg", "planes", "static", "unsat"):
+        assert getattr(dual_solver, name) == getattr(cnf_solver, name), name
+    assert len(dual_solver.clauses) == len(cnf_solver.clauses) == len(dual_solver.polarity)
+    assert cnf_solver.polarity == bytes(len(cnf_solver.clauses))
+    for ci, clause in enumerate(cnf_solver.clauses):
+        sign = -1 if dual_solver.polarity[ci] else 1
+        assert {sign * v for v in dual_solver.clauses[ci]} == set(clause)
+    assert dual_solver.clauses[0::2] == dual_solver.clauses[1::2]  # one tuple per edge
+    assert all(a is b for a, b in zip(dual_solver.clauses[0::2], dual_solver.clauses[1::2]))
+    assert (dual_solver._search(), dual_solver.decisions) == (cnf_solver._search(), cnf_solver.decisions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dual_setup_searches_as_the_cnf_setup_on_random_edge_sets(data):
+    # Satisfiable duals too: the same search, and the same model, either way.
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, min(n, 4)))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True).map(lambda e: tuple(sorted(e)))
+    edges = sorted(set(data.draw(st.lists(edge, max_size=24))))
+    clauses = [c for e in edges for c in (tuple(v + 1 for v in e), tuple(-v - 1 for v in e))]
+    cnf_solver, dual_solver = _Dpll(Cnf(n, tuple(clauses))), _Dpll.dual(n, k, iter(edges))
+    assert (dual_solver.pos, dual_solver.neg, dual_solver.planes) == (cnf_solver.pos, cnf_solver.neg, cnf_solver.planes)
+    assert (dual_solver._search(), dual_solver.decisions) == (cnf_solver._search(), cnf_solver.decisions)
+    assert dual_solver.value == cnf_solver.value
+
+
+# Four vertices, k = 2.  Each guard is the only one that rejects its cases.
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1), (0, 1)], [(1, 2), (0, 1)], [(1, 0)], [(0, 1), (3, 2)]],
+    ids=["repeated", "descending", "unsorted", "unsorted-later"],
+)
+def test_dual_setup_refuses_edges_out_of_order(edges):
+    with pytest.raises(ValueError, match="is unsorted or not above the edge before it"):
+        _Dpll.dual(4, 2, edges)
+
+
+@pytest.mark.parametrize("edges", [[(0, 4)], [(0, 1), (2, 7)], [(-1, 0)]], ids=["n", "later", "negative"])
+def test_dual_setup_refuses_vertices_out_of_range(edges):
+    with pytest.raises(ValueError, match=r"is outside 0\.\.3"):
+        _Dpll.dual(4, 2, edges)
+
+
+# (0, 1, 2) and (3,) hold four vertices between them, as two 2-wide edges do.
+@pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0,)], [(0, 1, 2), (3,)]], ids=["wide", "narrow", "wide-narrow"])
+def test_dual_setup_refuses_edges_of_another_width(edges):
+    with pytest.raises(ValueError, match="does not have 2 vertices"):
+        _Dpll.dual(4, 2, edges)
+
+
+@pytest.mark.parametrize("edges", [[(0, 0)], [(0, 1), (2, 2)]], ids=["first", "later"])
+def test_dual_setup_refuses_a_repeated_vertex(edges):
+    with pytest.raises(ValueError, match=r"edge \((0, 0|2, 2)\) repeats a vertex"):
+        _Dpll.dual(4, 2, edges)
+
+
+def test_dual_satisfiable_checks_a_claimed_model_against_the_edges(monkeypatch):
+    # A search that claims a model, all variables unset and so all false:
+    # every edge is one color, and the check refuses it.
+    monkeypatch.setattr(_Dpll, "_search", lambda self: True)
+    with pytest.raises(AssertionError, match="non-satisfying model"):
+        dual_satisfiable(validate_params(3, 3))
+
+
+def test_dual_satisfiable_returns_a_checked_model(monkeypatch):
+    # A 2-colorable edge set in place of the construction: the model returned
+    # colors each edge both ways.
+    edges = [(0, 1), (1, 2), (2, 3)]
+    monkeypatch.setattr(satbridge, "iter_distinct_edges", lambda params: iter(edges))
+    result = dual_satisfiable(validate_params(2, 1))
+    assert result.satisfiable
+    assert all(result.model[u + 1] != result.model[v + 1] for u, v in edges)
+
+
+def test_solving_the_6_2_dual_from_the_edge_stream_stays_small():
+    # The edge stream's set-up holds one variable tuple per edge, and no
+    # Hypergraph or Cnf: a peak of about 1.2 MB through the search, where the
+    # Cnf path peaks near 3.0 MB (CPython 3.11).
+    p = validate_params(6, 2)
+    tracemalloc.start()
+    try:
+        assert not dual_satisfiable(p).satisfiable
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6e6
 
 
 def _counts(solver):
