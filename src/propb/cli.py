@@ -44,7 +44,10 @@ stated by the same 10^4300 rule, counting.printable); 4 verification
 failure, which would mean a bug in the construction.  SIGINT ends a
 command by that signal, with no traceback.  The default edge cap of gen,
 solve and verify-small can be overridden with --edge-cap or the
-PROPB_EDGE_CAP environment variable.
+PROPB_EDGE_CAP environment variable.  The process (propb, python -m
+propb.cli) ends in run(): main(), a flush of stdout and stderr, then
+os._exit, skipping the teardown that only frees memory; an exception or a
+failed flush takes the normal exit.  Called from Python, main() returns.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import argparse
 import os
 import random
 import sys
-from typing import IO, Sequence
+from typing import IO, NoReturn, Sequence
 
 from . import counting
 from .construction import (
@@ -329,5 +332,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 128 + signal.SIGINT  # where SIGINT does not end the process
 
 
+def run() -> NoReturn:
+    """The process entry of `propb` and `python -m propb.cli`: main(), a flush, then os._exit."""
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: started with the fd closed
+            stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

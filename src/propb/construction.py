@@ -36,7 +36,8 @@ table per chosen sequence, the first one's made one shift at a time.  The
 distinct engine, _distinct_groups, yields one per (lowest sequence, block):
 the head's parts repeated, then the later columns, built once per
 translation orbit of the block by one recursion.  At l = 1 a group is
-_L1_GROUP_BLOCKS blocks, named as they stream.
+_L1_GROUP_BLOCKS blocks, named as they stream; as edge tuples they are the
+combinations themselves, since sequence 0's vertex numbers are its positions.
 
 Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
 then one edge per line as space-separated ascending 1-based vertex numbers;
@@ -265,17 +266,20 @@ def _distinct_groups(params: Params, render: Render) -> Iterator[list[list]]:
     under step, whose index order is tuple order, so the blocks of one orbit
     share their later columns, which are kept until the lowest sequence
     changes.  At l = 1 every block is a whole edge, and a group holds up to
-    _L1_GROUP_BLOCKS of them, rendered as they stream from combinations.
+    _L1_GROUP_BLOCKS of them, rendered as they stream from combinations
+    (for _tuple_parts, taken as they are).
     Raises AssertionError at exhaustion unless the groups held
     distinct_edge_count(params) edges.
     """
     n, l = params.num_sequences, params.l
     count = 0
     if l == 1:
-        blocks = _named(render, 0, params.seq_len, itertools.combinations(range(params.seq_len), params.block_size))
+        blocks = itertools.combinations(range(params.seq_len), params.block_size)
+        tuples = render is _tuple_parts  # then the blocks are the edges: sequence 0's vertex numbers are its positions
+        blocks = blocks if tuples else _named(render, 0, params.seq_len, blocks)
         while group := list(itertools.islice(blocks, _L1_GROUP_BLOCKS)):
             count += len(group)
-            yield [[part for block in group for part in render(block, True)]]
+            yield [group if tuples else [part for block in group for part in render(block, True)]]
     else:
         step = _step(params)
         orbits = _orbits(step)
