@@ -5,14 +5,12 @@ analytic bound), bound (sweep over the valid l values of a k), witness
 (monochromatic edge for a coloring), solve (DPLL on the dual CNF), and
 verify-small (exhaustive non-2-colorability check).
 
-gen takes its renderer and header line from one format table, FORMATS, and
-writes the header (the multiset or, for --dedup, the closed-form distinct
-count), then the chunks of iter_edge_chunks or iter_distinct_chunks.  Beside
-one chunk and the buffer it is joined from, it holds the part tables (block
-lines rendered once) of the current sequence subset or, for --dedup, lowest
-sequence, each dropped after the last one that uses it.  With them it holds
-one shift of the subset's first sequence and every shift of its later ones
-or, for --dedup, the later columns of each orbit for the lowest sequence.
+gen takes its renderer and header line, both from construction, from one
+format table, FORMATS.  It writes the header (the multiset or, for --dedup,
+the closed-form distinct count), then the chunks of iter_edge_chunks or
+iter_distinct_chunks.  Beside one chunk and its buffer it holds only the
+current sequence subset's (or, for --dedup, lowest sequence's) part tables
+and their shifts or orbit columns, as those functions' docstrings tell.
 
 witness builds no hypergraph: it checks its edge arithmetically, so it takes
 no edge cap (nor does count, which uses the closed form).  It refuses
@@ -64,6 +62,8 @@ from .construction import (
     EdgeCapError,
     check_edge_cap,
     distinct_hypergraph,
+    dual_clause_parts,
+    dual_dimacs_header,
     edge_line,
     edge_line_parts,
     edge_list_header,
@@ -72,7 +72,7 @@ from .construction import (
 )
 from .counting import COUNT_MAX_BITS
 from .params import ParameterError, Params, validate_params
-from .satbridge import dual_clause_parts, dual_dimacs_header, dual_satisfiable
+from .satbridge import dual_satisfiable
 from .witness import (
     MAX_EXHAUSTIVE_VERTICES,
     find_proper_coloring,
@@ -92,8 +92,7 @@ EXIT_VERIFY = 4
 # The limit stays because its refusal line and exit code are CLI output,
 # and because it bounds the coloring that --seed builds.
 WITNESS_MAX_SHIFT_STEPS = 10**7
-# gen's text formats: the renderer of a block's parts of an edge, and the
-# header line for a number of edges.
+# gen's text formats: the renderer of a block's parts, and the header line for a number of edges.
 FORMATS = {"edges": (edge_line_parts, edge_list_header), "dimacs": (dual_clause_parts, dual_dimacs_header)}
 
 

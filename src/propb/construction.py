@@ -26,7 +26,7 @@ of an inner or of the last chosen sequence, when the first sequence subset
 (multiset) or lowest sequence (distinct) that uses it starts, and drops it
 after the last.  A table joins its blocks from the sequence's vertex names
 rendered once; a text render gets a block's edge_line and adds its tail
-(and, for satbridge.dual_clause_parts, a negated copy).  _join adds a
+(and, for dual_clause_parts, a negated copy).  _join adds a
 group's columns into edge tuples, for iter_edges and iter_distinct_edges;
 _chunks, for both text streams, puts part i of each column in turn in one
 buffer, rewriting only the columns that are not the objects it last took:
@@ -39,9 +39,12 @@ translation orbit of the block by one recursion.  At l = 1 a group is
 _L1_GROUP_BLOCKS blocks, named as they stream; as edge tuples they are the
 combinations themselves, since sequence 0's vertex numbers are its positions.
 
-Edge-list text format: header line `p hyp <vertexCount> <edgeCount> <k>`,
-then one edge per line as space-separated ascending 1-based vertex numbers;
-write_edge_list writes it from edge tuples.
+gen's text formats are each a header and a Render of a block's parts.  Edge
+list: edge_list_header, `p hyp <vertexCount> <edgeCount> <k>`, then one edge
+per line as space-separated ascending 1-based vertex numbers (edge_line_parts;
+write_edge_list writes it from edge tuples).  DIMACS, the dual that satbridge
+decides: dual_dimacs_header, `p cnf <vertexCount> <2 * edgeCount>`, then each
+edge's clause of plain literals and its clause of negated ones (dual_clause_parts).
 """
 
 from __future__ import annotations
@@ -192,6 +195,12 @@ def iter_edges(params: Params) -> Iterator[Edge]:
 def edge_line_parts(line: str, last: bool) -> tuple[str]:
     """A block's share of an edge_line, its line ending in a space or, if last, a newline."""
     return (line + ("\n" if last else " "),)
+
+
+def dual_clause_parts(line: str, last: bool) -> tuple[str, str]:
+    """A block's shares of its edge's plain, then negated, clause: edge_line_parts' share with ` 0` before a newline."""
+    tail = " 0\n" if last else " "
+    return line + tail, "-" + line.replace(" ", " -") + tail
 
 
 def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
@@ -374,6 +383,11 @@ def is_edge(params: Params, edge: Sequence[int]) -> bool:
 
 def edge_list_header(params: Params, num_edges: int) -> str:
     return f"p hyp {params.num_vertices} {num_edges} {params.k}"
+
+
+def dual_dimacs_header(params: Params, num_edges: int) -> str:
+    """The DIMACS problem line of the dual of `num_edges` edges: two clauses per edge."""
+    return f"p cnf {params.num_vertices} {2 * num_edges}"
 
 
 def edge_line(edge: Sequence[int]) -> str:

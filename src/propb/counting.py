@@ -153,22 +153,27 @@ def _log2_count_range(k: int, l: int) -> tuple[float, float]:
 def count_bits(k: int, l: int) -> int | str:
     """Bit length of edge_count(validate_params(k, l)) for a valid pair, or a lower bound on it as text.
 
-    Stirling's series with Robbins' remainder bounds puts log2 C(n, r), r = k/l
-    and n = 2^l * r, within 1/(6r ln 2) of r*l + r*(2^l - 1)*log2(1/(1 - 2^-l))
-    - log2(2*pi*r*(1 - 2^-l))/2.  Widened by the float error, that bracket
-    settles the bit length unless it holds an integer; then the count is
-    computed, below 2*10^6 bits.  Lower bounds, as printable() states them:
+    log2 C(n, r), r = k/l and n = 2^l * r, is r*l + (n - r)*log2(1/(1 - 2^-l))
+    - log2(2*pi*r*(1 - 2^-l))/2 plus Stirling's remainder rho(n) - rho(r) -
+    rho(n - r) over ln 2, bracketed by Robbins' 1/(12m+1) < rho(m) < 1/(12m).
+    Widened by the float error, 8 ulps of the summed terms' magnitudes, that
+    bracket settles the bit length unless it holds an integer; then the count
+    is computed, below 2*10^6 bits.  Lower bounds, as printable() states them:
     "more than l*l" from l*l = COUNT_MAX_BITS on (the count is at least
     seq_len^l), else the lower end of _log2_count_range, as for a block past
     sys.maxsize (math.comb's limit) or an r past the float range.
     """
     if l * l >= COUNT_MAX_BITS:
         return f"more than {printable(l * l)}"
-    r, x = k // l, 2.0**-l
+    r, x, ln2 = k // l, 2.0**-l, math.log(2)
+    rest = r * (2**l - 1)  # n - r
     try:
-        binomial = r * l - r * (2**l - 1) * math.log1p(-x) / math.log(2) - math.log2(2 * math.pi * r * (1 - x)) / 2
-        estimate = math.log2(math.comb(2 * l - 1, l)) + l * (l + math.log2(r)) + binomial
-        margin = 1 / (6 * r * math.log(2)) + 1e-12 * (estimate + 1)
+        lo = 1 / (12 * (r + rest) + 1) - 1 / (12 * r) - 1 / (12 * rest)
+        hi = 1 / (12 * (r + rest)) - 1 / (12 * r + 1) - 1 / (12 * rest + 1)
+        terms = [math.log2(math.comb(2 * l - 1, l)), l * (l + math.log2(r)), r * l, -rest * math.log1p(-x) / ln2]
+        terms += [-math.log2(2 * math.pi * r * (1 - x)) / 2, (lo + hi) / 2 / ln2]
+        estimate = math.fsum(terms)  # rounded once; each term is within 4 ulps
+        margin = (hi - lo) / 2 / ln2 + 2**-49 * math.fsum(map(abs, terms))
         if math.floor(estimate - margin) == math.floor(estimate + margin):
             return math.floor(estimate) + 1
     except (OverflowError, ValueError):  # r past the float range: inf, or inf - inf = nan

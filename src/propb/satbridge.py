@@ -1,11 +1,10 @@
-"""Hypergraph/CNF duality, a complete DPLL decider, and the streamed DIMACS dual.
+"""Hypergraph/CNF duality and a complete DPLL decider.
 
 Every edge turns into two clauses over the 1-based vertex numbering: one
 with all variables plain, one with all negated.  The resulting CNF is
 monotone, and a 2-coloring is proper for the hypergraph exactly when the
 assignment `variable true iff vertex blue` satisfies the CNF.  gen prints
-the dual as DIMACS like the edge list: dual_dimacs_header, then chunks
-whose blocks' parts come from dual_clause_parts.
+the same dual as DIMACS text through construction's renderers.
 
 The embedded solver is plain DPLL (unit propagation, pure-literal
 elimination, most-occurrences branching) with no clause learning.  Its
@@ -23,14 +22,15 @@ one pass over the edges' vertices, with no Hypergraph or Cnf held: each
 edge is one tuple of its variables, shared by its plain and its negated
 clause, which a polarity byte tells apart, and the strictly ascending
 sorted stream makes the clauses distinct without a dedup.  It is
-deterministic, complete at desk scale, and verifies any model.
+deterministic, complete at desk scale, and verifies any model in _decide.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import partial
 from itertools import chain, compress, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construction import Hypergraph, iter_distinct_edges
 from .params import Params
@@ -89,7 +89,7 @@ class _Dpll:
     and `dual` on edges that do not make distinct k-wide clauses.  Clause
     i's unit literal is the free variable of `clauses[i]`, negated where
     `polarity[i]` is 1: never from a Cnf, whose clauses hold signed
-    literals, and for each negated clause of `dual`.
+    literals in variable order, and for each negated clause of `dual`.
     `unsat` holds the clauses with no true literal, and `planes[j]` holds bit
     j of each clause's count of literals not yet false, at first the
     bit-sliced sum of the literal masks.  Only unsatisfied clauses' counts
@@ -104,12 +104,13 @@ class _Dpll:
 
     def __init__(self, cnf: Cnf):
         # Solve the distinct set, so each count starts at its clause's true width:
-        # sorted clauses, or sorted sets once the masks show a repeated literal.
-        # A clause already in that form is kept, not copied.
+        # clauses in variable order, or sets in it once the masks show a repeated
+        # literal.  A clause already in that form, as hypergraph_to_cnf's are, is kept.
         n = cnf.variable_count
         if n < 0:
             raise ValueError(f"negative variable count {n}")
-        for canonical in map(sorted, cnf.clauses), map(sorted, map(set, cnf.clauses)):
+        by_variable = partial(sorted, key=abs)
+        for canonical in map(by_variable, cnf.clauses), map(by_variable, map(set, cnf.clauses)):
             keys = map(tuple, canonical)
             clauses = list(dict.fromkeys(c if c == key else key for c, key in zip(cnf.clauses, keys)))
             # Literal lit's bitmap is bits[lit]: 0 and literals beyond n have none.
@@ -276,41 +277,22 @@ class _Dpll:
         return True
 
 
-def dpll_satisfiable(cnf: Cnf) -> SolveResult:
-    """Complete satisfiability decision; models are verified before returning."""
-    solver = _Dpll(cnf)
+def _decide(solver: _Dpll, satisfies: Callable[[dict[int, bool]], bool]) -> SolveResult:
+    """Run the search; a model, read from the values, is returned only if `satisfies` accepts it."""
     if not solver._search():
         return SolveResult(False, None, solver.decisions)
-    model = {v: solver.value[v] > 0 for v in range(1, cnf.variable_count + 1)}
-    if not assignment_satisfies(cnf, model):
+    model = {v: solver.value[v] > 0 for v in range(1, solver.nvars + 1)}
+    if not satisfies(model):
         raise AssertionError("solver produced a non-satisfying model")
     return SolveResult(True, model, solver.decisions)
+
+
+def dpll_satisfiable(cnf: Cnf) -> SolveResult:
+    """Complete satisfiability decision; models are verified before returning."""
+    return _decide(_Dpll(cnf), lambda model: assignment_satisfies(cnf, model))
 
 
 def dual_satisfiable(params: Params) -> SolveResult:
-    """dpll_satisfiable of the dual of the distinct edges, as _Dpll.dual builds it from their stream.
-
-    Holds no Hypergraph or Cnf.  A model is checked against the edges,
-    streamed again, before it is returned.
-    """
+    """dpll_satisfiable of the distinct edges' dual, set up from their stream; a model is checked on them streamed again."""
     solver = _Dpll.dual(params.num_vertices, params.k, iter_distinct_edges(params))
-    if not solver._search():
-        return SolveResult(False, None, solver.decisions)
-    model = {v: solver.value[v] > 0 for v in range(1, params.num_vertices + 1)}
-    if any(len({model[v + 1] for v in edge}) < 2 for edge in iter_distinct_edges(params)):
-        raise AssertionError("solver produced a non-satisfying model")
-    return SolveResult(True, model, solver.decisions)
-
-
-def dual_clause_parts(line: str, last: bool) -> tuple[str, str]:
-    """A block's shares of its edge's two clauses, literals all plain, then all negated.
-
-    Each is its edge_line (negated in the second), then a space or, if last, ` 0` and newline.
-    """
-    tail = " 0\n" if last else " "
-    return line + tail, "-" + line.replace(" ", " -") + tail
-
-
-def dual_dimacs_header(params: Params, num_edges: int) -> str:
-    """The DIMACS problem line of the dual of `num_edges` edges: two clauses per edge."""
-    return f"p cnf {params.num_vertices} {2 * num_edges}"
+    return _decide(solver, lambda model: all(len({model[v + 1] for v in e}) == 2 for e in iter_distinct_edges(params)))

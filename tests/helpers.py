@@ -5,11 +5,14 @@ code or precomputation tricks, so a bug in an optimized implementation
 cannot hide in its own oracle.  That includes a whole-text DIMACS writer
 and the only DIMACS reader, which check the streamed `gen --format dimacs`.
 binomial_upper_bound, the classical bound on C(n, r), lives here too: only
-the tests use it.
+the tests use it.  So does Sha256Sink, the stdout through which the pinned
+output tests hash what a command writes without holding it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -299,3 +302,17 @@ def parse_dimacs(text: str) -> Cnf:
             if -lit in clause:
                 raise DimacsError(f"clause {clause} contains both {lit} and {-lit}")
     return Cnf(variable_count, tuple(clauses))
+
+
+class Sha256Sink(io.TextIOBase):
+    """A stdout that keeps only the SHA-256 of what is written to it, as UTF-8 bytes."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import emit_dimacs, parse_dimacs
+from helpers import Sha256Sink, emit_dimacs, parse_dimacs
 from propb import cli, construction, counting, satbridge
 from propb.params import validate_params
 from propb.satbridge import hypergraph_to_cnf
@@ -162,7 +162,7 @@ def test_gen_dedup_4_4_stdout_is_pinned(extra, digest):
     # Tails four sequences deep: 2.3M distinct edges, 33 MB and 74 MB of text,
     # hashed as it is written.  The digests were taken from the per-edge
     # rendering of gen --dedup, before it printed one chunk per group.
-    sink = _Sha256Sink()
+    sink = Sha256Sink()
     with contextlib.redirect_stdout(sink):
         assert cli.main(["gen", "--dedup", "--k", "4", "--l", "4", "--edge-cap", "36700160", *extra]) == 0
     assert sink.hash.hexdigest() == digest
@@ -180,20 +180,6 @@ def test_distinct_edge_tuples_at_l_4_match_gen_dedup():
     assert list(map(construction.edge_line, edges)) == lines
 
 
-class _Sha256Sink(io.TextIOBase):
-    """A stdout that keeps only the SHA-256 of what is written to it."""
-
-    def __init__(self):
-        self.hash = hashlib.sha256()
-
-    def write(self, text):
-        self.hash.update(text.encode())
-        return len(text)
-
-    def flush(self):
-        pass
-
-
 @pytest.mark.parametrize(
     "extra,digest",
     [
@@ -209,7 +195,7 @@ class _Sha256Sink(io.TextIOBase):
 )
 def test_gen_8_2_stdout_is_pinned(extra, digest):
     # 31 MB and 80 MB of text for the multiset, hashed as it is written
-    sink = _Sha256Sink()
+    sink = Sha256Sink()
     with contextlib.redirect_stdout(sink):
         assert cli.main(["gen", "--k", "8", "--l", "2", *extra]) == 0
     assert sink.hash.hexdigest() == digest
@@ -234,7 +220,7 @@ def test_gen_6_3_stdout_is_pinned(extra, digest):
     # parts, a path that shares no joining code with the interleave.  With
     # --dedup the later columns are two sequences deep and the orbits have
     # two sizes, 16 and 8.
-    sink = _Sha256Sink()
+    sink = Sha256Sink()
     with contextlib.redirect_stdout(sink):
         assert cli.main(["gen", "--k", "6", "--l", "3", *extra]) == 0
     assert sink.hash.hexdigest() == digest
@@ -257,7 +243,7 @@ def test_gen_7_1_stdout_is_pinned(extra, digest):
     # One sequence: the multiset is one table per shift, the distinct edges
     # are its 3,432 blocks in groups of a fixed number of blocks, the last
     # group partial.
-    sink = _Sha256Sink()
+    sink = Sha256Sink()
     with contextlib.redirect_stdout(sink):
         assert cli.main(["gen", "--k", "7", "--l", "1", *extra]) == 0
     assert sink.hash.hexdigest() == digest
@@ -465,6 +451,15 @@ def test_count_states_a_long_count_by_its_bit_length_in_start_up_time():
     code, out, err, seconds = run_limited("count", "--k", "300000", "--l", "1")
     assert (code, err) == (3, "")
     assert out == "refusing: the exact edge count has 600010 bits, above the printing limit of 14000\n"
+    assert seconds < 1
+
+
+@pytest.mark.parametrize("k,l,bits", [(769911, 3, 1116047), (205887, 1, 411783), (938640, 8, 1107782)])
+def test_count_settles_a_bit_length_near_an_integer_in_start_up_time(k, l, bits):
+    # Each bracket once straddled an integer, and the exact count took 1-3 s.
+    code, out, err, seconds = run_limited("count", "--k", str(k), "--l", str(l))
+    assert (code, err) == (3, "")
+    assert out == f"refusing: the exact edge count has {bits} bits, above the printing limit of 14000\n"
     assert seconds < 1
 
 

@@ -15,6 +15,7 @@ from propb.construction import (
     build_full,
     dedup,
     distinct_hypergraph,
+    dual_clause_parts,
     edge_line,
     edge_line_parts,
     edge_list_header,
@@ -27,7 +28,6 @@ from propb.construction import (
 )
 from propb.counting import distinct_edge_count, edge_count
 from propb.params import validate_params
-from propb.satbridge import dual_clause_parts
 
 
 def subset_slices(p):

@@ -269,8 +269,8 @@ def test_log2_count_range_brackets_the_exact_count():
 
 
 def test_count_bits_is_the_exact_bit_length_of_every_count_up_to_k_400():
-    # 2,089 pairs; the Stirling bracket straddles an integer on 173, where
-    # the count is computed.
+    # 2,089 pairs; the Stirling bracket straddles an integer on 2, (1, 1) and
+    # (81, 81), where the count is computed.
     for k in range(1, 401):
         for l in divisors(k):
             if l * l < COUNT_MAX_BITS:
@@ -286,6 +286,10 @@ def test_count_bits_of_large_counts_computes_no_count(monkeypatch):
     assert count_bits(100000, 1) == 200009
     assert count_bits(100000, 40) == 105727
     assert count_bits(300000, 1) == 600010
+    # Once computed where a wider bracket straddled an integer: 1-3 s each.
+    assert count_bits(769911, 3) == 1116047
+    assert count_bits(205887, 1) == 411783
+    assert count_bits(938640, 8) == 1107782
     # Lower bounds: seq_len^l >= 2^(l*l), and a bracket too wide to settle.
     assert count_bits(128, 128) == "more than 16384"
     # From k = 2.9*10^307 on, Stirling's floats overflow to inf or nan; the
