@@ -28,7 +28,6 @@ deterministic, complete at desk scale, and verifies any model in _decide.
 from __future__ import annotations
 
 import operator
-from functools import partial
 from itertools import chain, compress, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -89,7 +88,7 @@ class _Dpll:
     and `dual` on edges that do not make distinct k-wide clauses.  Clause
     i's unit literal is the free variable of `clauses[i]`, negated where
     `polarity[i]` is 1: never from a Cnf, whose clauses hold signed
-    literals in variable order, and for each negated clause of `dual`.
+    literals, and for each negated clause of `dual`.
     `unsat` holds the clauses with no true literal, and `planes[j]` holds bit
     j of each clause's count of literals not yet false, at first the
     bit-sliced sum of the literal masks.  Only unsatisfied clauses' counts
@@ -104,13 +103,12 @@ class _Dpll:
 
     def __init__(self, cnf: Cnf):
         # Solve the distinct set, so each count starts at its clause's true width:
-        # clauses in variable order, or sets in it once the masks show a repeated
-        # literal.  A clause already in that form, as hypergraph_to_cnf's are, is kept.
+        # sorted clauses, or sorted sets once the masks show a repeated literal.
+        # A clause already in that form is kept, not copied.
         n = cnf.variable_count
         if n < 0:
             raise ValueError(f"negative variable count {n}")
-        by_variable = partial(sorted, key=abs)
-        for canonical in map(by_variable, cnf.clauses), map(by_variable, map(set, cnf.clauses)):
+        for canonical in map(sorted, cnf.clauses), map(sorted, map(set, cnf.clauses)):
             keys = map(tuple, canonical)
             clauses = list(dict.fromkeys(c if c == key else key for c, key in zip(cnf.clauses, keys)))
             # Literal lit's bitmap is bits[lit]: 0 and literals beyond n have none.
