@@ -11,7 +11,8 @@ Rotating every shift by -s_0 and the block by +s_0 gives the same edge, so
 a distinct edge is a block S on its lowest chosen sequence plus a distinct
 translate of S on each later one: iter_distinct_edges streams them once
 each, in sorted order, never holding the set.  Membership needs no hypergraph
-either: is_edge decides it from the vertex tuple alone.
+either: is_edge decides it from the vertex tuple alone.  _incidence gives both
+deciders' set-ups each key's bitmask of the rows (edges or clauses) holding it.
 
 Edges are canonical sorted tuples of 0-based integer vertex encodings
 (seq * seq_len + pos, see params).  Emission order is lexicographic over
@@ -379,6 +380,16 @@ def is_edge(params: Params, edge: Sequence[int]) -> bool:
         return False
     first, *rest = parts.values()
     return all(any({(r + t) % kp for r in first} == part for t in range(kp)) for part in rest)
+
+
+def _incidence(rows: Iterable[Iterable[int]], count: int, keys: int, spacing: int = 1) -> list[int]:
+    """Per key 0..keys-1, the int with bit spacing*i set for each of `count` rows i holding it, rows read once."""
+    bits = [bytearray((spacing * count + 7) >> 3) for _ in range(keys)]  # key >= keys: IndexError; -j: keys - j
+    for at, row in zip(itertools.count(0, spacing), rows):
+        byte, bit = at >> 3, 1 << (at & 7)
+        for key in row:
+            bits[key][byte] |= bit  # a repeated key sets its bit once
+    return [int.from_bytes(b, "little") for b in bits]
 
 
 def edge_list_header(params: Params, num_edges: int) -> str:

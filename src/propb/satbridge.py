@@ -15,13 +15,13 @@ operations, none making a negative int, and the count planes in place.  A
 decision saves the whole state as one snapshot (the unsatisfied clauses by
 reference, the plane list and the values as copies), and a backtrack
 restores it.  Its state comes from the literal masks, which one of two
-set-ups builds.  From a Cnf, it is one pass over the literal occurrences
-(two if a clause repeats a literal) and the one check of the clause set.
-From the distinct edge stream (dual_satisfiable, which solve uses), it is
-one pass over the edges' vertices, with no Hypergraph or Cnf held: each
-edge is one tuple of its variables, shared by its plain and its negated
-clause, which a polarity byte tells apart, and the strictly ascending
-sorted stream makes the clauses distinct without a dedup.  It is
+set-ups builds through _incidence.  From a Cnf, it is one pass over the
+literal occurrences (two if a clause repeats a literal) and the one check of
+the clause set.  From the distinct edge stream (dual_satisfiable, which
+solve uses), it is one pass over the edges' vertices, with no Hypergraph or
+Cnf held: each edge is one tuple of its variables, shared by its plain and
+its negated clause, which a polarity byte tells apart, and the strictly
+ascending sorted stream makes the clauses distinct without a dedup.  It is
 deterministic, complete at desk scale, and verifies any model in _decide.
 """
 
@@ -31,7 +31,7 @@ import operator
 from itertools import chain, compress, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .construction import Hypergraph, iter_distinct_edges
+from .construction import Hypergraph, _incidence, iter_distinct_edges
 from .params import Params
 
 Clause = tuple[int, ...]
@@ -102,29 +102,22 @@ class _Dpll:
     """
 
     def __init__(self, cnf: Cnf):
-        # Solve the distinct set, so each count starts at its clause's true width:
-        # sorted clauses, or sorted sets once the masks show a repeated literal.
-        # A clause already in that form is kept, not copied.
+        # Solve the distinct set, so each count starts at its clause's true width: sorted clauses,
+        # or sorted sets once the masks show a repeated literal.  A clause already so is not copied.
         n = cnf.variable_count
         if n < 0:
             raise ValueError(f"negative variable count {n}")
+        valid = set(range(-n, n + 1)) - {0}  # literal lit's mask is masks[lit], -v's counted from the end
         for canonical in map(sorted, cnf.clauses), map(sorted, map(set, cnf.clauses)):
             keys = map(tuple, canonical)
             clauses = list(dict.fromkeys(c if c == key else key for c, key in zip(cnf.clauses, keys)))
-            # Literal lit's bitmap is bits[lit]: 0 and literals beyond n have none.
-            bits = {lit: bytearray((len(clauses) + 7) >> 3) for lit in range(-n, n + 1) if lit}
-            try:
-                for ci, clause in enumerate(clauses):
-                    byte, bit = ci >> 3, 1 << (ci & 7)
-                    for lit in clause:
-                        bits[lit][byte] |= bit
-            except KeyError as exc:
-                raise ValueError(f"literal {exc.args[0]} invalid for {n} variables") from None
-            masks = {lit: int.from_bytes(b, "little") for lit, b in bits.items()}
-            if sum(map(len, clauses)) == sum(mask.bit_count() for mask in masks.values()):
+            if not valid.issuperset(chain.from_iterable(clauses)):
+                bad = next(lit for lit in chain.from_iterable(clauses) if lit not in valid)
+                raise ValueError(f"literal {bad} invalid for {n} variables")
+            masks = _incidence(clauses, len(clauses), 2 * n + 1)
+            if sum(map(len, clauses)) == sum(map(int.bit_count, masks)):
                 break
-        pos = [0] + [masks[v] for v in range(1, n + 1)]  # index 0 unused
-        neg = [0] + [masks[-v] for v in range(1, n + 1)]
+        pos, neg = masks[: n + 1], [0, *masks[:n:-1]]  # index 0 unused
         for v in range(1, n + 1):
             if both := pos[v] & neg[v]:
                 clause = clauses[(both ^ (both - 1)).bit_length() - 1]
@@ -156,13 +149,7 @@ class _Dpll:
             raise ValueError(f"edge {_vertices(edge)} is unsorted or not above the edge before it")
         if (edge := next(compress(variables, map(k.__ne__, map(len, variables))), None)) is not None:
             raise ValueError(f"edge {_vertices(edge)} does not have {k} vertices")
-        # Clause 2i's bit, of variable v's plain bitmap, for each edge i holding v.
-        bits = [bytearray((len(variables) + 3) >> 2) for _ in range(num_vertices + 1)]
-        for i, edge in enumerate(variables):
-            byte, bit = i >> 2, 1 << ((i & 3) << 1)
-            for v in edge:
-                bits[v][byte] |= bit
-        pos = [int.from_bytes(b, "little") for b in bits]
+        pos = _incidence(variables, len(variables), num_vertices + 1, 2)  # v's plain clauses: 2i for each edge i holding v
         if sum(map(int.bit_count, pos)) != k * len(variables):
             raise ValueError(f"edge {_vertices(next(e for e in variables if len(set(e)) != k))} repeats a vertex")
         clauses: list[Clause] = [()] * (2 * len(variables))

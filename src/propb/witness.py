@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Sequence
 
-from .construction import Edge, Hypergraph, is_edge
+from .construction import Edge, Hypergraph, _incidence, is_edge
 from .params import ParameterError, Params
 
 RED = "R"
@@ -212,8 +212,8 @@ def find_proper_coloring(
     """A proper 2-coloring of `hypergraph`, or None if it has none.
 
     Depth-first search that colors vertices 0, 1, 2, ... in order.  The
-    distinct edges are numbered in a stable sort by their highest vertex,
-    and closing[v] holds the edges whose highest vertex is v.  inc[u] holds
+    distinct edges are numbered in any order that inc and closing share, and
+    closing[v] holds the edges whose highest vertex is v.  inc[u] holds
     the edges that contain u, so an edge acts as its vertex set even where a
     vertex repeats.  A node carries the edges touched by a red vertex and
     those touched by a blue one.  Coloring v red makes an edge of
@@ -238,14 +238,8 @@ def find_proper_coloring(
             raise ValueError(f"edge {edge} has a vertex outside range({n})")
     if not all(edges):
         return None
-    edges.sort(key=max)
-    inc_bytes = [bytearray((len(edges) + 7) // 8) for _ in range(n)]
-    closing = [0] * n
-    for i, edge in enumerate(edges):
-        closing[max(edge)] |= 1 << i
-        for u in edge:
-            inc_bytes[u][i >> 3] |= 1 << (i & 7)
-    inc = [int.from_bytes(b, "little") for b in inc_bytes]
+    inc = _incidence(edges, len(edges), n)
+    closing = _incidence(zip(map(max, edges)), len(edges), n)
 
     # (next vertex, edges touched by red, edges touched by blue, blue vertices)
     stack = [(0, 0, 0, 0)]

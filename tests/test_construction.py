@@ -6,12 +6,15 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import naive_full_edges, naive_subset_edges
 from propb import construction
 from propb.construction import (
     EdgeCapError,
     Hypergraph,
+    _incidence,
     build_full,
     dedup,
     distinct_hypergraph,
@@ -381,3 +384,23 @@ def assert_distinct_chunks_equal_the_per_edge_rendering(p, render, count):
         assert lines == "".join(itertools.islice(texts, len(lines) // lines_per_edge)).splitlines(keepends=True)
         chunks += 1
     assert chunks == count or next(texts, None) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_incidence_sets_each_rows_bit_in_each_of_its_keys(data):
+    # Both deciders' set-ups: bit spacing*i of key j is set exactly when row
+    # i holds j, from rows read once as one-shot iterators.
+    keys = data.draw(st.integers(1, 12))
+    spacing = data.draw(st.sampled_from((1, 2)))
+    rows = data.draw(st.lists(st.lists(st.integers(0, keys - 1), max_size=6), max_size=20))
+    masks = _incidence(iter(map(iter, rows)), len(rows), keys, spacing)
+    assert masks == [sum(1 << spacing * i for i, row in enumerate(rows) if j in row) for j in range(keys)]
+    # A key repeated within a row sets its bit once.
+    assert _incidence([row + row for row in rows], len(rows), keys, spacing) == masks
+    # A negative key counts from the end, as a list index does: the Cnf set-up's -v.
+    assert _incidence([[j - keys for j in row] for row in rows], len(rows), keys, spacing) == masks
+    # A key at or above `keys`, in a row inserted anywhere, is refused.
+    at, bad = data.draw(st.integers(0, len(rows))), data.draw(st.integers(keys, keys + 5))
+    with pytest.raises(IndexError):
+        _incidence([*rows[:at], [bad], *rows[at:]], len(rows) + 1, keys, spacing)

@@ -393,11 +393,16 @@ def test_find_proper_coloring_agrees_with_brute_force():
     outcomes = set()
     for n, edges in cases:
         exists = _proper_exists(n, edges)
-        coloring = find_proper_coloring(Hypergraph(_universe(n), edges))
-        assert (coloring is not None) == exists, (n, edges, coloring)
-        if coloring is not None:
-            assert len(coloring) == n and set(coloring) <= {RED, BLUE}
-            assert not has_monochromatic_edge(coloring, edges), (n, edges, coloring)
+        # Each hypergraph again, its edges shuffled and one repeated: the
+        # search numbers the edges in any order.
+        shuffled = [*edges, *rng.sample(edges, min(1, len(edges)))]
+        rng.shuffle(shuffled)
+        for given in edges, tuple(shuffled):
+            coloring = find_proper_coloring(Hypergraph(_universe(n), given))
+            assert (coloring is not None) == exists, (n, given, coloring)
+            if coloring is not None:
+                assert len(coloring) == n and set(coloring) <= {RED, BLUE}
+                assert not has_monochromatic_edge(coloring, edges), (n, given, coloring)
         outcomes.add(exists)
     assert outcomes == {False, True}
 
