@@ -28,6 +28,16 @@ tells them before any count is computed (bound asks about its l = k row).
 Every size refusal is ruled on from k and l, which are all a Params holds,
 before a number of about l bits is built.
 
+main reads the command line against one table, _GRAMMAR, which holds each
+command's options with their dests, converters, defaults and help.  A line
+in the plain grammar (the command, then `--option value` pairs and flags,
+--k among them) is read from that table alone, and the handler is looked
+up among the module's cmd_* functions when it is called.  Anything else
+(--help, -h, --k=3, an abbreviation, a negative number, a value its
+converter rejects, a missing --k) goes to build_parser, which builds the
+argparse parser from the same table and imports argparse only then:
+argparse alone writes help and usage errors.
+
 Exit codes: 0 success, also when the reader of stdout closes the pipe
 early; 2 usage or parameter error, including a negative edge cap, an
 unreadable coloring file, and a closed or unwritable stdout; 3 size
@@ -50,11 +60,11 @@ failed flush takes the normal exit.  Called from Python, main() returns.
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import sys
-from typing import IO, NoReturn, Sequence
+from types import SimpleNamespace
+from typing import IO, TYPE_CHECKING, NoReturn, Sequence
 
 from . import counting
 from .construction import (
@@ -81,6 +91,9 @@ from .witness import (
     read_coloring,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SIZE = 3
@@ -95,6 +108,57 @@ WITNESS_MAX_SHIFT_STEPS = 10**7
 # gen's text formats: the renderer of a block's parts, and the header line for a number of edges.
 FORMATS = {"edges": (edge_line_parts, edge_list_header), "dimacs": (dual_clause_parts, dual_dimacs_header)}
 
+# The command-line grammar, read by both parsers: each command's help line and
+# options, an option as (option string, dest, converter, default, help).  A
+# converter is int, str, a table of choices or _FLAG, a switch that takes no
+# value.  --k, which every command has, is the one required option.
+_FLAG = "flag"
+_K = ("--k", "k", int, None, "edge size")
+_L = ("--l", "l", int, None, "grouping parameter (divisor of k); default: minimize the edge count")
+_EDGE_CAP = (
+    "--edge-cap",
+    "edge_cap",
+    int,
+    None,
+    f"refuse constructions above this many edges (default {DEFAULT_EDGE_CAP} or PROPB_EDGE_CAP)",
+)
+_GRAMMAR = {
+    "gen": (
+        "emit the construction as an edge list or DIMACS CNF",
+        (
+            _K,
+            _L,
+            _EDGE_CAP,
+            ("--format", "format", FORMATS, "edges", None),
+            ("--dedup", "dedup", _FLAG, False, "emit distinct edges only"),
+        ),
+    ),
+    "count": ("exact edge count and the analytic upper bound", (_K, _L)),
+    "bound": ("sweep the valid l values for a given k", (_K,)),
+    "witness": (
+        "monochromatic edge for a 2-coloring",
+        (
+            _K,
+            _L,
+            ("--coloring", "coloring", str, None, "coloring file (one line of R/B)"),
+            ("--seed", "seed", int, None, "generate a random coloring instead"),
+        ),
+    ),
+    "solve": (
+        "decide the dual CNF with the embedded DPLL",
+        (
+            _K,
+            _L,
+            _EDGE_CAP,
+            ("--dedup", "dedup", _FLAG, False, "report the distinct clause count, not the multiset's"),
+        ),
+    ),
+    "verify-small": (
+        f"exhaustively check non-2-colorability (vertex count <= {MAX_EXHAUSTIVE_VERTICES})",
+        (_K, _L, _EDGE_CAP),
+    ),
+}
+
 
 def _default_edge_cap() -> int:
     raw = os.environ.get("PROPB_EDGE_CAP")
@@ -106,12 +170,12 @@ def _default_edge_cap() -> int:
         raise ParameterError(f"PROPB_EDGE_CAP must be an integer, got {raw!r}")
 
 
-def _resolve_params(args: argparse.Namespace) -> Params:
+def _resolve_params(args: SimpleNamespace) -> Params:
     l = args.l if args.l is not None else counting.best_l(args.k)
     return validate_params(args.k, l)
 
 
-def cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_gen(args: SimpleNamespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     count = check_edge_cap(params, args.edge_cap)
     render, header = FORMATS[args.format]
@@ -134,7 +198,7 @@ def _too_long(bits: int | str) -> str:
     return f"the exact edge count has {bits} bits, above the printing limit of {COUNT_MAX_BITS}"
 
 
-def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_count(args: SimpleNamespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     bits = counting.count_bits(params.k, params.l)
     if isinstance(bits, str) or bits > COUNT_MAX_BITS:
@@ -149,7 +213,7 @@ def cmd_count(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK if verdict == "yes" else EXIT_VERIFY
 
 
-def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_bound(args: SimpleNamespace, out: IO[str]) -> int:
     k = args.k
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
@@ -171,7 +235,7 @@ def cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_witness(args: SimpleNamespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     # steps >= seq_len^2 >= 4^b, past 10^4300 from b = 7143 on: such a seq_len is not built.
     b = params.l + params.block_size.bit_length() - 1  # seq_len.bit_length() - 1
@@ -195,7 +259,7 @@ def cmd_witness(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_solve(args: SimpleNamespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     count = check_edge_cap(params, args.edge_cap)
     result = dual_satisfiable(params)
@@ -211,7 +275,7 @@ def cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def cmd_verify_small(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_verify_small(args: SimpleNamespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     # (2l-1) * k/l * 2^l vertices, past the limit from 2^l on: then the count is not built.
     if params.l >= MAX_EXHAUSTIVE_VERTICES.bit_length() or params.num_vertices > MAX_EXHAUSTIVE_VERTICES:
@@ -227,6 +291,9 @@ def cmd_verify_small(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _GRAMMAR, the only writer of --help and usage errors."""
+    import argparse  # here alone: a command line in the plain grammar never loads it
+
     parser = argparse.ArgumentParser(
         prog="propb",
         description=(
@@ -235,73 +302,69 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_cap: bool = True) -> None:
-        p.add_argument("--k", type=int, required=True, help="edge size")
-        p.add_argument(
-            "--l",
-            type=int,
-            default=None,
-            help="grouping parameter (divisor of k); default: minimize the edge count",
-        )
-        if with_cap:
-            p.add_argument(
-                "--edge-cap",
-                type=int,
-                default=None,
-                help=f"refuse constructions above this many edges (default {DEFAULT_EDGE_CAP} "
-                "or PROPB_EDGE_CAP)",
-            )
-
-    p_gen = sub.add_parser("gen", help="emit the construction as an edge list or DIMACS CNF")
-    add_common(p_gen)
-    p_gen.add_argument("--format", choices=FORMATS, default="edges")
-    p_gen.add_argument("--dedup", action="store_true", help="emit distinct edges only")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_count = sub.add_parser("count", help="exact edge count and the analytic upper bound")
-    add_common(p_count, with_cap=False)
-    p_count.set_defaults(func=cmd_count)
-
-    p_bound = sub.add_parser("bound", help="sweep the valid l values for a given k")
-    p_bound.add_argument("--k", type=int, required=True, help="edge size")
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_witness = sub.add_parser("witness", help="monochromatic edge for a 2-coloring")
-    add_common(p_witness, with_cap=False)
-    p_witness.add_argument("--coloring", type=str, default=None, help="coloring file (one line of R/B)")
-    p_witness.add_argument("--seed", type=int, default=None, help="generate a random coloring instead")
-    p_witness.set_defaults(func=cmd_witness)
-
-    p_solve = sub.add_parser("solve", help="decide the dual CNF with the embedded DPLL")
-    add_common(p_solve)
-    p_solve.add_argument(
-        "--dedup", action="store_true", help="report the distinct clause count, not the multiset's"
-    )
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_verify = sub.add_parser(
-        "verify-small", help=f"exhaustively check non-2-colorability (vertex count <= {MAX_EXHAUSTIVE_VERTICES})"
-    )
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify_small)
-
+    for command, (summary, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=summary)
+        for option, dest, convert, default, text in options:
+            if convert is _FLAG:
+                p.add_argument(option, dest=dest, action="store_true", help=text)
+            elif convert in (int, str):
+                p.add_argument(option, dest=dest, type=convert, required=option == "--k", default=default, help=text)
+            else:
+                p.add_argument(option, dest=dest, choices=convert, default=default, help=text)
     return parser
 
 
+def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argv read against _GRAMMAR, with every dest its command has; None where argparse must rule.
+
+    Only the plain grammar is read: a command, then its option strings, each
+    but a flag followed by its value, with --k among them.  Any other token
+    (-h, --k=3, an abbreviation, --), a missing value, a value that starts
+    with "-" and one that its converter rejects all decline.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    options = {option: (dest, convert) for option, dest, convert, _, _ in _GRAMMAR[argv[0]][1]}
+    values = {dest: default for _, dest, _, default, _ in _GRAMMAR[argv[0]][1]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in options:
+            return None
+        dest, convert = options[token]
+        if convert is _FLAG:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines as "-" does
+        if value.startswith("-"):
+            return None
+        if convert is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif convert is not str and value not in convert:
+            return None
+        values[dest] = value
+    if values["k"] is None:
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if sys.stdout is None:  # started with fd 1 closed
-        print("error: cannot write to stdout: it is closed", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        argv = sys.argv[1:] if argv is None else argv
+        args = _read_plain(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        if sys.stdout is None:  # started with fd 1 closed
+            print("error: cannot write to stdout: it is closed", file=sys.stderr)
+            return EXIT_USAGE
         if hasattr(args, "edge_cap"):
             if args.edge_cap is None:
                 args.edge_cap = _default_edge_cap()
             if args.edge_cap < 0:
                 raise ParameterError(f"the edge cap must be non-negative, got {args.edge_cap}")
-        code = args.func(args, sys.stdout)
+        # Looked up now, not when the grammar was built: a caller may have replaced a cmd_*.
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        code = command(args, sys.stdout)
         sys.stdout.flush()  # a write error is raised here, not at interpreter exit
         return code
     except OSError as exc:

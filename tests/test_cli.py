@@ -4,6 +4,7 @@ import io
 import itertools
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import Sha256Sink, emit_dimacs, parse_dimacs
+from test_golden import GOLDEN
 from propb import cli, construction, counting, satbridge
 from propb.params import validate_params
 from propb.satbridge import hypergraph_to_cnf
@@ -867,6 +869,121 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 2
+
+
+def argparse_reading(argv):
+    """vars() of argparse's reading of argv, or None where it exits (a usage error or --help)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+OPTIONS_OF = {
+    "gen": ["--k", "--l", "--edge-cap", "--format", "--dedup"],
+    "count": ["--k", "--l"],
+    "bound": ["--k"],
+    "witness": ["--k", "--l", "--coloring", "--seed"],
+    "solve": ["--k", "--l", "--edge-cap", "--dedup"],
+    "verify-small": ["--k", "--l", "--edge-cap"],
+}
+TOKENS = ["--k", "--l", "--edge-cap", "--format", "--dedup", "--coloring", "--seed", "-h", "--help", "--", "--ed", "--k=3"]
+# The values an option takes where it takes no int.
+FITTING = {"--format": ["edges", "dimacs"], "--coloring": ["abc", "", "7"]}
+VALUES = ["7", " 7", "+3", "-1", "\u0663", "", "abc", "1.5", "0x10", "edges", "dimacs", "xml", "-", "--k"]
+
+
+@st.composite
+def parser_argv(draw):
+    """A command line that is, about half the time, in the plain grammar."""
+    command = draw(st.sampled_from([*OPTIONS_OF, "frobnicate"]))
+    argv = [command]
+    if draw(st.booleans()):  # a well-formed line, but for at most one token
+        options = OPTIONS_OF.get(command, TOKENS)
+        for option in ["--k", *draw(st.lists(st.sampled_from(options), max_size=4))]:
+            argv.append(option)
+            if option != "--dedup":
+                argv.append(draw(st.sampled_from(FITTING.get(option, ["7", " 7", "+3", "\u0663"]))))
+        if draw(st.booleans()):
+            argv[draw(st.integers(1, len(argv) - 1))] = draw(st.sampled_from([*TOKENS, *VALUES]))
+    else:
+        for token, value in draw(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from([None, *VALUES])), max_size=5)):
+            argv += [token] if value is None else [token, value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(parser_argv())
+@example(["gen", "--k", "\u0663", "--format", "dimacs", "--dedup", "--dedup", "--format", "edges"])
+@example(["witness", "--k", " 7", "--coloring", "", "--seed", "+3", "--seed", "7"])
+@example(["count", "--l", "7", "--k", "7"])
+@example(["bound", "--k", "7"])
+@example(["solve", "--dedup", "--k", "7", "--edge-cap", "\u0663"])
+@example(["verify-small", "--k", "7", "--l", "7", "--edge-cap", "7"])
+# Each declined: a choice that is not one, a missing --k, an option string as a value.
+@example(["gen", "--k", "7", "--format", "xml"])
+@example(["gen", "--l", "7"])
+@example(["witness", "--k", "7", "--coloring", "--k"])
+def test_a_line_the_table_reads_is_read_the_same_by_argparse(argv):
+    args = cli._read_plain(argv)
+    if args is not None:
+        assert vars(args) == argparse_reading(argv)
+
+
+# The benchmark's jobs, as bench/checks.py's Job.argv renders them, and its set-up probe.
+BENCH_JOBS = [
+    ["gen", "--k", "8", "--l", "2"],
+    ["gen", "--k", "8", "--l", "2", "--format", "dimacs"],
+    ["gen", "--k", "8", "--l", "2", "--dedup"],
+    ["witness", "--k", "8", "--l", "2", "--coloring", "bench/.work/coloring-8-2-tie-1.txt"],
+    ["solve", "--dedup", "--k", "3", "--l", "3"],
+    ["solve", "--dedup", "--k", "4", "--l", "2"],
+    ["solve", "--dedup", "--k", "7", "--l", "1"],
+    ["verify-small", "--k", "7", "--l", "1"],
+    ["count", "--k", "4", "--l", "2"],
+]
+
+
+def ci_command_lines():
+    """The propb command lines of the CI step that runs the installed script, up to a quote, pipe or redirect."""
+    text = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = text[text.index("- name: Packaged console script") :]
+    return [line.split() for line in re.findall(r"\bpropb((?: [\w.=/-]+)+)", step)]
+
+
+def test_every_pinned_command_line_is_read_from_the_table():
+    lines = [argv.split() for argv, *_ in GOLDEN] + BENCH_JOBS + ci_command_lines()
+    assert len(lines) > len(GOLDEN) + len(BENCH_JOBS) + 40
+    for argv in lines:
+        expected = argparse_reading(argv)
+        args = cli._read_plain(argv)
+        if args is not None:
+            assert vars(args) == expected, argv
+        else:
+            # Declined: a usage error or --help, or a negative number, which argparse reads.
+            assert expected is None or any(token[:1] == "-" and token[1:].isdigit() for token in argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--k", "4", "--l", "2"], ["gen", "--k=4", "--l", "2"], ["witness", "--k", "2", "--l", "1", "--seed", "1"]],
+    ids=["gen", "gen-through-argparse", "witness"],
+)
+def test_main_calls_the_handler_the_module_holds_when_it_is_called(monkeypatch, argv):
+    monkeypatch.delenv("PROPB_EDGE_CAP", raising=False)
+    calls = []
+
+    def record(args, out):
+        calls.append(vars(args))
+        return cli.EXIT_VERIFY
+
+    monkeypatch.setattr(cli, "cmd_gen", record)
+    monkeypatch.setattr(cli, "cmd_witness", record)
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    assert [args["command"] for args in calls] == [argv[0]]
+    if argv[0] == "gen":
+        assert calls[0]["k"] == 4 and calls[0]["edge_cap"] == construction.DEFAULT_EDGE_CAP
 
 
 # Cheap instances only: k <= 12 keeps count, bound and witness fast, and gen,

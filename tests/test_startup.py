@@ -3,18 +3,22 @@
 Most CLI jobs do less work than interpreter start-up, so no propb module
 imports dataclasses (which pulls in inspect, ast, dis and tokenize), and only
 the calls that compute a bound load fractions (and the decimal it imports).
-Each check runs in a new interpreter started with -S, so no site-packages
-hook has loaded anything before propb does.
+A command line in the plain grammar is read from cli's own table, so only
+--help and usage errors load argparse (and the gettext and locale it
+imports).  Each check runs in a new interpreter started with -S, so no
+site-packages hook has loaded anything before propb does.
 
 The process ends through cli.run: main(), a flush of stdout and stderr, then
 os._exit, with no interpreter teardown, so no atexit handler runs; the
-output must still arrive whole.
+output must still arrive whole.  An interrupt ends it by SIGINT, also while
+the command line is parsed.
 """
 
 import ast
 import hashlib
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +27,8 @@ import pytest
 
 from propb import cli
 
-HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+ARGPARSE = {"argparse", "gettext", "locale"}
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", *ARGPARSE}
 SRC = str(Path(cli.__file__).parents[1])
 
 
@@ -59,8 +64,27 @@ def test_only_a_bound_loads_fractions():
 
     loaded, out = run_fresh("from propb import cli\nassert cli.main(['count', '--k', '4', '--l', '2']) == 0")
     assert "fractions" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", *ARGPARSE}
     assert out == "k = 4, l = 2, vertices = 24\nedge count = 5376\nupper bound = 4.8425e+05\ncount <= bound: yes\n"
+
+
+def test_only_a_line_outside_the_plain_grammar_loads_argparse():
+    # ["gen"] lacks --k: the table declines it, and argparse writes the usage error.
+    script = (
+        "import contextlib, io\n"
+        "from propb import cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        "        cli.main(['gen'])\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code)\n"
+        "print(err.getvalue(), end='')"
+    )
+    loaded, out = run_fresh(script)
+    assert loaded == ARGPARSE
+    assert out.startswith("2\nusage: propb gen [-h] --k K")
+    assert out.endswith("\npropb gen: error: the following arguments are required: --k\n")
 
 
 def run_module(prelude: str, argv: list[str], stdout) -> subprocess.CompletedProcess:
@@ -112,6 +136,19 @@ def test_a_verification_failure_mid_stream_still_writes_the_stream():
     assert proc.stdout.startswith(b"p hyp 24 625 4\n1 2 9 10\n")
     digest = "3dccf03fb242ec771e794971f26bbc5ee30ea85d3d31a5f9b91789bc1ed90e62"
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_an_interrupt_while_parsing_ends_by_sigint_without_a_traceback():
+    # ["gen"] lacks --k, so argparse parses it, and is interrupted doing so.
+    prelude = (
+        "import argparse\n"
+        "def interrupt(*args, **kwargs):\n"
+        "    raise KeyboardInterrupt\n"
+        "argparse.ArgumentParser.parse_args = interrupt"
+    )
+    proc = run_module(prelude, ["gen"], subprocess.PIPE)
+    assert proc.returncode == -signal.SIGINT, proc.stderr
+    assert proc.stderr == b""
 
 
 def test_the_console_script_and_python_m_share_one_entry():
