@@ -22,11 +22,11 @@ Both need memory proportional to the number of distinct edges.  None builds
 the multiset, but the edge cap still applies to the multiset count.  solve
 --dedup reports the distinct clause count, solve without it the
 multiset's; the verdict and decisions are the same.  count
-and bound refuse, before printing anything, when an exact edge count they
-would print has more than COUNT_MAX_BITS bits, as counting.count_bits
-tells them before any count is computed (bound asks about its l = k row).
-Every size refusal is ruled on from k and l, which are all a Params holds,
-before a number of about l bits is built.
+and bound refuse, before printing anything, with counting.count_refusal's
+reason, told before any count is computed (bound asks about its l = k
+row); gen, solve and verify-small refuse with counting.check_edge_cap's
+EdgeCapError.  Every size refusal is ruled on from k and l, which are all
+a Params holds, before a number of about l bits is built.
 
 main reads the command line against one table, _GRAMMAR, which holds each
 command's options with their dests, converters, defaults and help.  A line
@@ -68,9 +68,6 @@ from typing import IO, TYPE_CHECKING, NoReturn, Sequence
 
 from . import counting
 from .construction import (
-    DEFAULT_EDGE_CAP,
-    EdgeCapError,
-    check_edge_cap,
     distinct_hypergraph,
     dual_clause_parts,
     dual_dimacs_header,
@@ -80,7 +77,7 @@ from .construction import (
     iter_distinct_chunks,
     iter_edge_chunks,
 )
-from .counting import COUNT_MAX_BITS
+from .counting import DEFAULT_EDGE_CAP, EdgeCapError, check_edge_cap
 from .params import ParameterError, Params, validate_params
 from .satbridge import dual_satisfiable
 from .witness import (
@@ -194,15 +191,10 @@ def _refuse(out: IO[str], reason: str) -> int:
     return EXIT_SIZE
 
 
-def _too_long(bits: int | str) -> str:
-    return f"the exact edge count has {bits} bits, above the printing limit of {COUNT_MAX_BITS}"
-
-
 def cmd_count(args: SimpleNamespace, out: IO[str]) -> int:
     params = _resolve_params(args)
-    bits = counting.count_bits(params.k, params.l)
-    if isinstance(bits, str) or bits > COUNT_MAX_BITS:
-        return _refuse(out, _too_long(bits))
+    if reason := counting.count_refusal(params.k, params.l):
+        return _refuse(out, reason)
     count = counting.edge_count(params)
     bound = counting.edge_count_upper_bound(params.k, params.l)
     verdict = "yes" if bound.certifies_at_most(count) else "NO"
@@ -218,9 +210,8 @@ def cmd_bound(args: SimpleNamespace, out: IO[str]) -> int:
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
     # The l = k row is the longest up to k = 118, and unprintable from 119 on.
-    bits = counting.count_bits(k, k)
-    if isinstance(bits, str) or bits > COUNT_MAX_BITS:
-        return _refuse(out, _too_long(bits))
+    if reason := counting.count_refusal(k, k):
+        return _refuse(out, reason)
     rows = [validate_params(k, l) for l in counting.divisors(k)]
     counts = [counting.edge_count(params) for params in rows]
     out.write(f"{'l':>4} {'seq_len':>8} {'edge_count':>16} {'upper_bound':>13} {'ok':>3}\n")
@@ -376,12 +367,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK
         print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except ParameterError as exc:
+    except (ParameterError, EdgeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EdgeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
+        return EXIT_USAGE if isinstance(exc, ParameterError) else EXIT_SIZE
     except AssertionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -62,18 +62,8 @@ Edge = tuple[int, ...]
 # render(block, last): a block's parts of an edge, the block named by _named.
 Render = Callable[[Any, bool], tuple]
 
-DEFAULT_EDGE_CAP = 10_000_000
 # Blocks per distinct group at l = 1: bounds a group's text, shares its write.
 _L1_GROUP_BLOCKS = 1024
-
-
-class EdgeCapError(RuntimeError):
-    """Refused to build: `expected` edges (or "more than 2^N", uncomputed) would exceed the cap."""
-
-    def __init__(self, expected: int | str, cap: int):
-        bits = expected.bit_length() if isinstance(expected, int) else 0
-        amount = expected if bits <= counting.COUNT_MAX_BITS else f"a {bits}-bit number of"
-        super().__init__(f"construction would emit {amount} edges, above the cap of {cap}")
 
 
 class Hypergraph:
@@ -215,28 +205,13 @@ def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
     return _chunks(_groups(params, render), params.l)
 
 
-def check_edge_cap(params: Params, edge_cap: int | None) -> int:
-    """edge_count(params), or EdgeCapError when it exceeds edge_cap (None: no cap).
-
-    Refused uncomputed, from (k, l) alone, when its log2 bracket starts past
-    the cap and 2 * COUNT_MAX_BITS.
-    """
-    lower = int(counting._log2_count_range(params.k, params.l)[0])
-    if edge_cap is not None and lower > max(edge_cap.bit_length(), 2 * counting.COUNT_MAX_BITS):
-        raise EdgeCapError(f"more than 2^{counting.printable(lower)}", edge_cap)
-    expected = counting.edge_count(params)
-    if edge_cap is not None and expected > edge_cap:
-        raise EdgeCapError(expected, edge_cap)
-    return expected
-
-
-def build_full(params: Params, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Hypergraph:
+def build_full(params: Params, edge_cap: int | None = counting.DEFAULT_EDGE_CAP) -> Hypergraph:
     """The full edge multiset; its cardinality always equals edge_count(params).
 
-    Refuses with EdgeCapError when that count exceeds edge_cap (pass None to
-    disable the guard).
+    Refuses with counting.EdgeCapError when that count exceeds edge_cap
+    (pass None to disable the guard).
     """
-    expected = check_edge_cap(params, edge_cap)
+    expected = counting.check_edge_cap(params, edge_cap)
     edges = tuple(list(iter_edges(params)))  # a list first: see distinct_hypergraph
     if len(edges) != expected:
         raise AssertionError(f"built {len(edges)} edges, formula says {expected}")
@@ -348,14 +323,14 @@ def iter_distinct_chunks(params: Params, render: Render) -> Iterator[str]:
     return _chunks(_distinct_groups(params, render), params.l)
 
 
-def distinct_hypergraph(params: Params, edge_cap: int | None = DEFAULT_EDGE_CAP) -> Hypergraph:
+def distinct_hypergraph(params: Params, edge_cap: int | None = counting.DEFAULT_EDGE_CAP) -> Hypergraph:
     """The distinct edges in canonical sorted order: dedup(build_full(params)), built directly.
 
     Holds only the distinct edges, about 1/seq_len of the multiset, but
     refuses under the same multiset cap as build_full.  iter_distinct_edges
     checks the cardinality against distinct_edge_count(params).
     """
-    check_edge_cap(params, edge_cap)
+    counting.check_edge_cap(params, edge_cap)
     # tuple() of a generator re-tracks the growing tuple with the garbage
     # collector at every resize: 2.4x slower than a list first on (4,4), CPython 3.11.
     return Hypergraph(params, tuple(list(iter_distinct_edges(params))))

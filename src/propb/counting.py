@@ -1,13 +1,17 @@
-"""Exact edge counts, their bit lengths and conservative analytic upper bounds.
+"""Exact edge counts, their bit lengths, the rulings on their size and conservative analytic upper bounds.
 
 Counts are arbitrary-precision integers, never floats; count_bits tells
 their bit length from a float bracket first, and printable states a number
-too long to print by its bit count.  Bounds involve the constant
-e, so they are returned as rational enclosures (BoundValue): the upper end
-is safe when a bound is used as a size estimate, the lower end is the one
-to compare against when certifying `quantity <= bound`, so a check can
-never pass through rounding alone.  e itself is enclosed by e_enclosure(),
-computed on its first call, the only place that imports fractions.
+too long to print by its bit count.  This module alone rules on a count's
+size, from (k, l), and words the refusal: check_edge_cap refuses a
+construction past the edge cap (EdgeCapError), count_refusal a count of
+more than COUNT_MAX_BITS bits, which count and bound do not print.  Bounds
+involve the constant e, so they are returned as rational enclosures
+(BoundValue): the upper end is safe when a bound is used as a size
+estimate, the lower end is the one to compare against when certifying
+`quantity <= bound`, so a check can never pass through rounding alone.
+e itself is enclosed by e_enclosure(), computed on its first call, the
+only place that imports fractions.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ def e_enclosure() -> tuple[Fraction, Fraction]:
 # time, and CPython refuses ints above 4300 digits (about 14,284 bits) by
 # default; a limit in bits keeps the output the same on every Python version.
 COUNT_MAX_BITS = 14_000
+DEFAULT_EDGE_CAP = 10_000_000
+
+
+class EdgeCapError(RuntimeError):
+    """Refused to build: the edge count, ruled on from (k, l) alone, would exceed the edge cap."""
 
 
 class BoundValue(NamedTuple):
@@ -192,6 +201,32 @@ def printable(factor: int, shift: int = 0) -> str:
     if bits <= 14_285 and (n := factor << shift) < 10**4300:
         return str(n)
     return f"a {bits}-bit number of"
+
+
+def check_edge_cap(params: Params, edge_cap: int | None) -> int:
+    """edge_count(params), or EdgeCapError when it exceeds edge_cap (None: no cap).
+
+    Refused uncomputed, as "more than 2^N" edges, when the lower end of
+    _log2_count_range passes both the cap's bit length and 2 * COUNT_MAX_BITS;
+    a computed count past COUNT_MAX_BITS is stated by its bit length.
+    """
+    lower = int(_log2_count_range(params.k, params.l)[0])
+    if edge_cap is not None and lower > max(edge_cap.bit_length(), 2 * COUNT_MAX_BITS):
+        amount = f"more than 2^{printable(lower)}"
+    else:
+        count = edge_count(params)
+        if edge_cap is None or count <= edge_cap:
+            return count
+        amount = count if count.bit_length() <= COUNT_MAX_BITS else f"a {count.bit_length()}-bit number of"
+    raise EdgeCapError(f"construction would emit {amount} edges, above the cap of {printable(edge_cap)}")
+
+
+def count_refusal(k: int, l: int) -> str | None:
+    """Why edge_count(validate_params(k, l)) is not printed, or None: more than COUNT_MAX_BITS bits, per count_bits."""
+    bits = count_bits(k, l)
+    if isinstance(bits, str) or bits > COUNT_MAX_BITS:
+        return f"the exact edge count has {bits} bits, above the printing limit of {COUNT_MAX_BITS}"
+    return None
 
 
 def best_l(k: int) -> int:

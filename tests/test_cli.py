@@ -409,9 +409,9 @@ def test_counts_too_long_to_print_are_refused(capsys, monkeypatch):
         assert code == 3 and err == ""
         assert out.startswith("refusing:") and out.count("\n") == 1
     # (5000, 1): 10,007 bits
-    monkeypatch.setattr(cli, "COUNT_MAX_BITS", 10_007)
+    monkeypatch.setattr(counting, "COUNT_MAX_BITS", 10_007)
     assert run(capsys, "count", "--k", "5000", "--l", "1")[0] == 0
-    monkeypatch.setattr(cli, "COUNT_MAX_BITS", 10_006)
+    monkeypatch.setattr(counting, "COUNT_MAX_BITS", 10_006)
     code, out, _ = run(capsys, "count", "--k", "5000", "--l", "1")
     assert code == 3
     assert "10007 bits" in out
@@ -443,7 +443,7 @@ def test_count_past_the_binomial_limit_is_refused_in_start_up_time():
     code, out, err, seconds = run_limited("count", "--k", str(10**20), "--l", "1")
     bits = int(counting._log2_count_range(10**20, 1)[0])
     assert (code, err) == (3, "")
-    assert out == f"refusing: {cli._too_long(f'more than {bits}')}\n"
+    assert out == f"refusing: {counting.count_refusal(10**20, 1)}\n"
     assert bits > 2 * 10**20 - 10**12
     assert seconds < 1
 
@@ -629,7 +629,7 @@ def test_count_and_bound_compute_no_count_they_can_rule_out(capsys, monkeypatch)
             f"refusing: the exact edge count has more than {l * l} bits, above the printing "
             "limit of 14000\n"
         )
-    assert computed and max(l * l for l in computed) < cli.COUNT_MAX_BITS
+    assert computed and max(l * l for l in computed) < counting.COUNT_MAX_BITS
 
 
 def test_count_without_l_computes_only_the_counts_that_could_win(capsys, monkeypatch):
@@ -983,7 +983,7 @@ def test_main_calls_the_handler_the_module_holds_when_it_is_called(monkeypatch, 
     assert cli.main(argv) == cli.EXIT_VERIFY
     assert [args["command"] for args in calls] == [argv[0]]
     if argv[0] == "gen":
-        assert calls[0]["k"] == 4 and calls[0]["edge_cap"] == construction.DEFAULT_EDGE_CAP
+        assert calls[0]["k"] == 4 and calls[0]["edge_cap"] == counting.DEFAULT_EDGE_CAP
 
 
 # Cheap instances only: k <= 12 keeps count, bound and witness fast, and gen,

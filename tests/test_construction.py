@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from helpers import naive_full_edges, naive_subset_edges
 from propb import construction
 from propb.construction import (
-    EdgeCapError,
     Hypergraph,
     _incidence,
     build_full,
@@ -29,7 +28,7 @@ from propb.construction import (
     iter_edges,
     write_edge_list,
 )
-from propb.counting import distinct_edge_count, edge_count
+from propb.counting import EdgeCapError, distinct_edge_count, edge_count
 from propb.params import validate_params
 
 

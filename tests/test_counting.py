@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from propb import counting
 from propb.counting import (
     COUNT_MAX_BITS,
+    EdgeCapError,
     best_l,
+    check_edge_cap,
     count_bits,
     distinct_edge_count,
     divisors,
@@ -307,6 +309,21 @@ def test_the_l_equals_k_row_has_the_longest_count_up_to_k_118():
         counts = [edge_count(validate_params(k, l)) for l in divisors(k)]
         assert max(counts) == counts[-1], k
     assert 119 * 119 >= COUNT_MAX_BITS > 118 * 118
+
+
+def test_a_cap_past_4300_digits_is_stated_by_its_size():
+    # str() of this cap once raised ValueError (the 4300-digit limit).
+    with pytest.raises(EdgeCapError) as refusal:
+        check_edge_cap(validate_params(14003, 1), 1 << 28000)
+    assert str(refusal.value) == (
+        "construction would emit a 28014-bit number of edges, above the cap of a 28001-bit number of"
+    )
+
+
+def test_the_uncomputed_cap_refusal_waits_for_the_lower_end_to_pass_the_cap():
+    # At l = 1 the bracket's lower end (28001 at k = 14003) first passes 2 * COUNT_MAX_BITS,
+    # so under the default cap the count is refused uncomputed; a longer cap has it computed.
+    assert check_edge_cap(validate_params(14003, 1), 1 << 30000) == edge_count(validate_params(14003, 1))
 
 
 def test_best_l_examples():

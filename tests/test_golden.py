@@ -28,6 +28,10 @@ GOLDEN = [
     ("gen --dedup --k 4 --l 2", 0, "aeb8a24e35fb1010417f598df4581341aeaea8dd421e5ca4fc8ab632c3fbcadc", ""),
     ("gen --k 7200 --l 1", 3,
      EMPTY, "error: construction would emit a 14407-bit number of edges, above the cap of 10000000\n"),
+    ("gen --k 14002 --l 1", 3,
+     EMPTY, "error: construction would emit a 28012-bit number of edges, above the cap of 10000000\n"),
+    ("gen --k 14003 --l 1", 3,
+     EMPTY, "error: construction would emit more than 2^28001 edges, above the cap of 10000000\n"),
     ("gen --k 1600000 --l 1", 3,
      EMPTY, "error: construction would emit more than 2^3199995 edges, above the cap of 10000000\n"),
     ("gen --k 400009", 3,

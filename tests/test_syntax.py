@@ -23,10 +23,17 @@ def test_parses_as_python_3_10(path):
 # Modules and names new in Python 3.11-3.13, by module; "builtins" for bare names.
 NEWER_MODULES = {"tomllib"}
 NEWER_NAMES = {
-    "typing": {"Self", "Never", "LiteralString", "assert_never", "reveal_type", "Required", "NotRequired"},
+    "typing": {
+        "Self", "Never", "LiteralString", "assert_never", "reveal_type", "Required", "NotRequired",
+        "override", "TypeIs", "ReadOnly",
+    },
     "enum": {"StrEnum"},
     "itertools": {"batched"},
-    "math": {"sumprod", "exp2", "cbrt"},
+    "math": {"sumprod", "exp2", "cbrt", "fma"},
+    "random": {"binomialvariate"},
+    "copy": {"replace"},
+    "warnings": {"deprecated"},
+    "os": {"process_cpu_count"},
     "operator": {"call"},
     "hashlib": {"file_digest"},
     "contextlib": {"chdir"},
@@ -64,15 +71,24 @@ def newer_library_names(source):
 def test_newer_library_names_are_found():
     source = (
         "import tomllib\n"
-        "import itertools as it, math\n"
+        "import itertools as it, math, os\n"
         "from typing import Self, Sequence\n"
         "from contextlib import chdir\n"
         "it.batched(range(4), 2)\n"
         "math.cbrt(8.0) + math.sqrt(4.0)\n"
+        "os.process_cpu_count()\n"
         "raise ExceptionGroup('', [])\n"
     )
     assert sorted(newer_library_names(source)) == sorted(
-        ["tomllib", "typing.Self", "contextlib.chdir", "itertools.batched", "math.cbrt", "builtins.ExceptionGroup"]
+        [
+            "tomllib",
+            "typing.Self",
+            "contextlib.chdir",
+            "itertools.batched",
+            "math.cbrt",
+            "os.process_cpu_count",
+            "builtins.ExceptionGroup",
+        ]
     )
 
 
