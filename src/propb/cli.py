@@ -48,7 +48,7 @@ witness and verify-small print their number in full below 10^4300, else as
 "a N-bit number of", or as "more than 2^N" steps where seq_len is too long
 to square; where k is past the float range, count says "more than N" bits
 and an edge-cap refusal "more than 2^N", N = k + l*l; every such N is
-stated by the same 10^4300 rule, counting.printable); 4 verification
+stated by the same 10^4300 rule, params.printable); 4 verification
 failure, which would mean a bug in the construction.  SIGINT ends a
 command by that signal, with no traceback.  The default edge cap of gen,
 solve and verify-small can be overridden with --edge-cap or the
@@ -78,7 +78,7 @@ from .construction import (
     iter_edge_chunks,
 )
 from .counting import DEFAULT_EDGE_CAP, EdgeCapError, check_edge_cap
-from .params import ParameterError, Params, validate_params
+from .params import ParameterError, Params, printable, validate_params
 from .satbridge import dual_satisfiable
 from .witness import (
     MAX_EXHAUSTIVE_VERTICES,
@@ -232,7 +232,7 @@ def cmd_witness(args: SimpleNamespace, out: IO[str]) -> int:
     b = params.l + params.block_size.bit_length() - 1  # seq_len.bit_length() - 1
     steps = params.l * params.seq_len**2 if b < 7143 else None
     if steps is None or steps > WITNESS_MAX_SHIFT_STEPS:
-        amount = f"more than 2^{counting.printable(2 * b - 1)}" if steps is None else counting.printable(steps)
+        amount = f"more than 2^{printable(2 * b - 1)}" if steps is None else printable(steps)
         return _refuse(out, f"the shift search takes {amount} steps, above the witness limit of {WITNESS_MAX_SHIFT_STEPS}")
     if args.coloring is not None:
         coloring = read_coloring(params, args.coloring)
@@ -270,7 +270,7 @@ def cmd_verify_small(args: SimpleNamespace, out: IO[str]) -> int:
     params = _resolve_params(args)
     # (2l-1) * k/l * 2^l vertices, past the limit from 2^l on: then the count is not built.
     if params.l >= MAX_EXHAUSTIVE_VERTICES.bit_length() or params.num_vertices > MAX_EXHAUSTIVE_VERTICES:
-        amount = counting.printable(params.num_sequences * params.block_size, params.l)
+        amount = printable(params.num_sequences * params.block_size, params.l)
         return _refuse(out, f"{amount} vertices exceed the exhaustive limit of {MAX_EXHAUSTIVE_VERTICES}")
     proper = find_proper_coloring(distinct_hypergraph(params, args.edge_cap))
     checked = 2**params.num_vertices

@@ -31,10 +31,12 @@ rendered once; a text render gets a block's edge_line and adds its tail
 group's columns into edge tuples, for iter_edges and iter_distinct_edges;
 _chunks, for both text streams, puts part i of each column in turn in one
 buffer, rewriting only the columns that are not the objects it last took:
-unchanged shifts, or an orbit's shared later columns.  The multiset engine,
-_groups, yields one group per (sequence subset, shift tuple): a shifted
-table per chosen sequence, the first one's made one shift at a time.  The
-distinct engine, _distinct_groups, yields one per (lowest sequence, block):
+unchanged shifts, or an orbit's shared later columns.  It holds the last
+chunk until the next is joined, so glibc reuses its blocks rather than trim
+the heap, unless past _HOLD_PARTS parts.  The multiset engine, _groups,
+yields one group per (sequence subset, shift tuple): a shifted table per
+chosen sequence, the first one's made one shift at a time.  The distinct
+engine, _distinct_groups, yields one per (lowest sequence, block):
 the head's parts repeated, then the later columns, built once per
 translation orbit of the block by one recursion.  At l = 1 a group is
 _L1_GROUP_BLOCKS blocks, named as they stream; as edge tuples they are the
@@ -64,6 +66,8 @@ Render = Callable[[Any, bool], tuple]
 
 # Blocks per distinct group at l = 1: bounds a group's text, shares its write.
 _L1_GROUP_BLOCKS = 1024
+# _chunks holds a group's text past its write up to this many parts; (8,2) DIMACS has 7,280.
+_HOLD_PARTS = 8192
 
 
 class Hypergraph:
@@ -167,6 +171,10 @@ def _chunks(groups: Iterable[Sequence[list]], l: int) -> Iterator[str]:
 
     With several parts per block (dual_clause_parts) that gives each edge's
     part-0 text, then its part-1 text.  A new group length renews the buffer and every column.
+    The chunk just yielded is held until the next one is joined: freed with
+    its encoded copy, it would leave over 128 KB free at the heap top, which
+    glibc trims, so the next chunk would fault those pages in again.  One of
+    more than _HOLD_PARTS parts goes after its write: no stream holds two such.
     """
     text, shown = [], [None] * l
     for columns in groups:
@@ -175,7 +183,9 @@ def _chunks(groups: Iterable[Sequence[list]], l: int) -> Iterator[str]:
         for c, column in enumerate(columns):
             if column is not shown[c]:
                 text[c::l] = shown[c] = column
-        yield "".join(text)
+        yield (chunk := "".join(text))
+        if len(text) > _HOLD_PARTS:
+            del chunk
 
 
 def iter_edges(params: Params) -> Iterator[Edge]:
@@ -200,7 +210,8 @@ def iter_edge_chunks(params: Params, render: Render) -> Iterator[str]:
     A chunk is one (sequence subset, shift tuple) group.  Alive at a time
     are the part tables of the current subset (and of those a later subset
     still uses), one shifted table of its first sequence, every shifted
-    table of its later ones, the buffer of _chunks and one chunk.
+    table of its later ones, the buffer of _chunks and one chunk, or two
+    while the next is joined (see _chunks).
     """
     return _chunks(_groups(params, render), params.l)
 

@@ -1,9 +1,9 @@
 """Exact edge counts, their bit lengths, the rulings on their size and conservative analytic upper bounds.
 
 Counts are arbitrary-precision integers, never floats; count_bits tells
-their bit length from a float bracket first, and printable states a number
-too long to print by its bit count.  This module alone rules on a count's
-size, from (k, l), and words the refusal: check_edge_cap refuses a
+their bit length from a float bracket first, and params.printable states
+a number too long to print by its bit count.  This module alone rules on a
+count's size, from (k, l), and words the refusal: check_edge_cap refuses a
 construction past the edge cap (EdgeCapError), count_refusal a count of
 more than COUNT_MAX_BITS bits, which count and bound do not print.  Bounds
 involve the constant e, so they are returned as rational enclosures
@@ -20,7 +20,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .params import ParameterError, Params, validate_params
+from .params import ParameterError, Params, printable, validate_params
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -127,7 +127,7 @@ def edge_count_upper_bound(k: int, l: int) -> BoundValue:
 def divisors(k: int) -> list[int]:
     """Positive divisors of k in ascending order."""
     if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
+        raise ParameterError(f"k must be positive, got {printable(k)}")
     small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
     large = [k // d for d in reversed(small) if k // d not in small]
     return small + large
@@ -190,17 +190,6 @@ def count_bits(k: int, l: int) -> int | str:
     if estimate < 2e6:  # a 2*10^6-bit count takes about a minute
         return edge_count(validate_params(k, l)).bit_length()
     return f"more than {printable(int(_log2_count_range(k, l)[0]))}"
-
-
-def printable(factor: int, shift: int = 0) -> str:
-    """factor * 2^shift in full below 10^4300, where CPython 3.11 stops printing ints by default; else its bit count.
-
-    Never builds a number of more than 14,285 bits, the bit length of 10^4300.
-    """
-    bits = factor.bit_length() + shift
-    if bits <= 14_285 and (n := factor << shift) < 10**4300:
-        return str(n)
-    return f"a {bits}-bit number of"
 
 
 def check_edge_cap(params: Params, edge_cap: int | None) -> int:

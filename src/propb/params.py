@@ -8,6 +8,7 @@ number vertices 1-based in that same order.
 
 Params holds k and l alone; every other size is derived from them on read,
 so a size refusal can rule from (k, l) before a number of l bits is built.
+printable states an int too long for str(), here or in a refusal, by its size.
 """
 
 from __future__ import annotations
@@ -53,9 +54,20 @@ def validate_params(k: int, l: int) -> Params:
     if not isinstance(k, int) or not isinstance(l, int):
         raise ParameterError(f"k and l must be integers, got k={k!r}, l={l!r}")
     if k < 1 or l < 1:
-        raise ParameterError(f"k and l must be positive, got k={k}, l={l}")
+        raise ParameterError(f"k and l must be positive, got k={printable(k)}, l={printable(l)}")
     if l > k:
-        raise ParameterError(f"l must not exceed k, got k={k}, l={l}")
+        raise ParameterError(f"l must not exceed k, got k={printable(k)}, l={printable(l)}")
     if k % l != 0:
-        raise ParameterError(f"l must divide k, got k={k}, l={l}")
+        raise ParameterError(f"l must divide k, got k={printable(k)}, l={printable(l)}")
     return Params(k=k, l=l)
+
+
+def printable(factor: int, shift: int = 0) -> str:
+    """factor * 2^shift in full below 10^4300 in size, where CPython 3.11 stops printing ints by default; else its bit count.
+
+    Never builds a number of more than 14,285 bits, the bit length of 10^4300.
+    """
+    bits = factor.bit_length() + shift
+    if bits <= 14_285 and abs(n := factor << shift) < 10**4300:
+        return str(n)
+    return f"a {'negative ' * (factor < 0)}{bits}-bit number of"

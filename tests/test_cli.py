@@ -206,6 +206,24 @@ def test_gen_8_2_stdout_is_pinned(extra, digest):
 @pytest.mark.parametrize(
     "extra,digest",
     [
+        ((), "5b3f836d997b9929a7c8ae2d7f259c761beb5a72e7fe1a4990e16c1e3022bdb9"),
+        (("--format", "dimacs"), "ef00fc8ade07421d4d6268f97a3183b17ad52badfe05c5d8b1ae84d808331281"),
+    ],
+    ids=["edges", "dimacs"],
+)
+def test_gen_8_1_stdout_is_pinned(extra, digest):
+    # A multiset group is all C(16, 8) = 12,870 blocks of one shift: 12,870
+    # parts as an edge list and 25,740 as DIMACS, both past the bound up to
+    # which a chunk is held after its write.
+    sink = Sha256Sink()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["gen", "--k", "8", "--l", "1", *extra]) == 0
+    assert sink.hash.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "extra,digest",
+    [
         ((), "0cda213893b338421ebc220ae71fb246e789a310963cab19b2c198910012181f"),
         (("--format", "dimacs"), "a95574518ab21f0929b14664194cc3818e1cf97c7508699875bb6fb4b79a70f2"),
         (("--dedup",), "3ed6d5d50bb9d7ab3ee39127bb97d20cc290d0b188c38db7d3fbe7b7300ba24e"),

@@ -320,6 +320,12 @@ def test_a_cap_past_4300_digits_is_stated_by_its_size():
     )
 
 
+def test_a_negative_k_past_4300_digits_is_refused_by_its_size():
+    # str() of this k once raised ValueError (the 4300-digit limit), not ParameterError.
+    with pytest.raises(ParameterError, match=r"^k must be positive, got a negative 16610-bit number of$"):
+        divisors(-(10**5000))
+
+
 def test_the_uncomputed_cap_refusal_waits_for_the_lower_end_to_pass_the_cap():
     # At l = 1 the bracket's lower end (28001 at k = 14003) first passes 2 * COUNT_MAX_BITS,
     # so under the default cap the count is refused uncomputed; a longer cap has it computed.

@@ -106,3 +106,14 @@ def test_parameter_and_edge_cap_errors_are_the_only_exception_classes_in_src():
                 if any(base.endswith(("Error", "Exception")) for base in bases):
                     defined.add(node.name)
     assert defined == {"ParameterError", "EdgeCapError"}
+
+
+def test_a_k_past_4300_digits_is_refused_by_its_size():
+    # str() of this k once raised ValueError (the 4300-digit limit), not ParameterError.
+    with pytest.raises(ParameterError, match=r"^l must divide k, got k=a 16610-bit number of, l=7$"):
+        validate_params(10**5000, 7)
+
+
+def test_an_l_past_4300_digits_is_refused_by_its_size():
+    with pytest.raises(ParameterError, match=r"^l must not exceed k, got k=7, l=a 16610-bit number of$"):
+        validate_params(7, 10**5000)
