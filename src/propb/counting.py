@@ -1,17 +1,19 @@
 """Exact edge counts, their bit lengths, the rulings on their size and conservative analytic upper bounds.
 
 Counts are arbitrary-precision integers, never floats; count_bits tells
-their bit length from a float bracket first, and params.printable states
-a number too long to print by its bit count.  This module alone rules on a
-count's size, from (k, l), and words the refusal: check_edge_cap refuses a
-construction past the edge cap (EdgeCapError), count_refusal a count of
-more than COUNT_MAX_BITS bits, which count and bound do not print.  Bounds
-involve the constant e, so they are returned as rational enclosures
-(BoundValue): the upper end is safe when a bound is used as a size
-estimate, the lower end is the one to compare against when certifying
-`quantity <= bound`, so a check can never pass through rounding alone.
-e itself is enclosed by e_enclosure(), computed on its first call, the
-only place that imports fractions.
+their bit length from a float bracket first, and params.printable states a
+number too long to print by its bit count.  best_l picks the divisor l of k
+(divisors factors k) of least count, and computes only the counts that the
+entropy bracket, widened just past the float error, leaves in the race.
+This module alone rules on a count's size, from (k, l), and words the
+refusal: check_edge_cap refuses a construction past the edge cap
+(EdgeCapError), count_refusal a count of more than COUNT_MAX_BITS bits,
+which count and bound do not print.  Bounds involve the constant e, so they
+are returned as rational enclosures (BoundValue): the upper end is safe when
+a bound is used as a size estimate, the lower end is the one to compare
+against when certifying `quantity <= bound`, so a check can never pass
+through rounding alone.  e itself is enclosed by e_enclosure(), computed on
+its first call, the only place that imports fractions.
 """
 
 from __future__ import annotations
@@ -31,13 +33,8 @@ def e_enclosure() -> tuple[Fraction, Fraction]:
     """Fractions lower < e < upper: sum(1/n!) to n = 40, plus the tail bound 1/(40!*40); width ~3e-49."""
     from fractions import Fraction
 
-    total = Fraction(0)
-    factorial = 1
-    for n in range(41):
-        if n:
-            factorial *= n
-        total += Fraction(1, factorial)
-    return total, total + Fraction(1, factorial * 40)
+    total = sum(Fraction(1, math.factorial(n)) for n in range(41))
+    return total, total + Fraction(1, math.factorial(40) * 40)
 
 
 # The largest exact count printed in full.  Decimal conversion takes quadratic
@@ -103,16 +100,11 @@ def distinct_edge_count(params: Params) -> int:
     """
     kp, block = params.seq_len, params.block_size
     exact: dict[int, int] = {}
-    for d in seq_len_divisors(params):
+    for d in divisors(kp):
         fixed = math.comb(d, block * d // kp) if block * d % kp == 0 else 0
         exact[d] = fixed - sum(n for e, n in exact.items() if d % e == 0)
     periods = sum(n * d ** (params.l - 1) for d, n in exact.items())
     return math.comb(params.num_sequences, params.l) * periods
-
-
-def seq_len_divisors(params: Params) -> list[int]:
-    """divisors(seq_len) from seq_len = 2^l * block_size: trial division of block_size only."""
-    return sorted({2**a * d for a in range(params.l + 1) for d in divisors(params.block_size)})
 
 
 def edge_count_upper_bound(k: int, l: int) -> BoundValue:
@@ -125,15 +117,24 @@ def edge_count_upper_bound(k: int, l: int) -> BoundValue:
 
 
 def divisors(k: int) -> list[int]:
-    """Positive divisors of k in ascending order."""
+    """Positive divisors of k in ascending order, from its prime factorization.
+
+    Trial division by 2, then by odd numbers from the last prime factor found to the cofactor's root
+    (past it the cofactor is prime): seq_len = 2^l * k/l comes at once, a prime k in sqrt(k)/2 steps.
+    """
     if k < 1:
         raise ParameterError(f"k must be positive, got {printable(k)}")
-    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
-    large = [k // d for d in reversed(small) if k // d not in small]
-    return small + large
+    found, rest, p = [1], k, 3
+    while rest > 1:
+        p = 2 if rest % 2 == 0 else next((d for d in range(p | 1, math.isqrt(rest) + 1, 2) if rest % d == 0), rest)
+        known = len(found)
+        while rest % p == 0:
+            rest //= p
+            found += [d * p for d in found[-known:]]
+    return sorted(found)
 
 
-def _log2_count_range(k: int, l: int) -> tuple[float, float]:
+def _log2_count_range(k: int, l: int, slack: float = 1e-9) -> tuple[float, float]:
     """Floats lo <= log2(edge_count(validate_params(k, l))) <= hi, without computing the count.
 
     With r = k/l and n = seq_len = 2^l * r, C(n, r) lies between 2^(nH)/(n+1)
@@ -154,8 +155,7 @@ def _log2_count_range(k: int, l: int) -> tuple[float, float]:
         hi = math.inf
     if hi == math.inf:
         return k + l * l, hi
-    # Widened far beyond the float rounding error, about 1e-15 of the value.
-    margin = 4 + 1e-9 * hi
+    margin = 4 + slack * hi  # past the float error, about 1e-15*hi; the default fixes the printed lower end
     return hi - (log2_n + math.log1p(2.0**-log2_n) / math.log(2)) - margin, hi + margin
 
 
@@ -223,11 +223,11 @@ def best_l(k: int) -> int:
 
     Exact minimization over the valid l values (asymptotically l near log2 k
     wins, but for small k that is usually l = 1).  Each divisor's log2 count
-    is first bracketed by _log2_count_range, and the count is computed only
-    for the divisors whose lower end does not exceed the smallest upper end:
-    the others cannot win, nor tie.
+    is first bracketed by _log2_count_range, widened only past the float
+    error, and the count is computed only for the divisors whose lower end
+    does not exceed the smallest upper end: the others cannot win, nor tie.
     """
-    ranges = {l: _log2_count_range(k, l) for l in divisors(k)}
+    ranges = {l: _log2_count_range(k, l, 1e-12) for l in divisors(k)}
     ceiling = min(hi for _, hi in ranges.values())
     survivors = [l for l, (lo, _) in ranges.items() if lo <= ceiling]
     return min(survivors, key=lambda l: edge_count(validate_params(k, l))) if len(survivors) > 1 else survivors[0]

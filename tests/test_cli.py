@@ -504,7 +504,19 @@ def test_count_and_bound_decide_a_refusal_before_computing_any_count(capsys, mon
 
 @pytest.mark.parametrize(
     "argv",
-    [("gen", "--k", str(10**10)), ("solve", "--k", str(10**10)), ("gen", "--k", str(10**12)), ("count", "--k", str(10**12))],
+    [
+        ("gen", "--k", str(10**10)),
+        ("solve", "--k", str(10**10)),
+        ("gen", "--k", str(10**12)),
+        ("count", "--k", str(10**12)),
+        # divisors once scanned to sqrt(k) whatever k's factors: 6-7 s at 10^16,
+        # 2^32 steps at 2^64, and at 10^20 best_l then computed three counts
+        # of about 10^20 bits.
+        ("gen", "--k", str(10**16)),
+        ("solve", "--k", str(10**16)),
+        ("gen", "--k", str(2**64)),
+        ("count", "--k", str(10**20)),
+    ],
 )
 def test_a_huge_k_without_l_is_refused_in_start_up_time(argv):
     # best_l brackets every divisor's count, the divisor l = k too: the

@@ -23,7 +23,6 @@ from propb.counting import (
     edge_count,
     edge_count_upper_bound,
     scientific,
-    seq_len_divisors,
 )
 from helpers import binomial_upper_bound, log2_count_range_by_int, scientific_by_integers
 from propb.params import ParameterError, validate_params
@@ -227,11 +226,25 @@ def test_divisors():
         divisors(0)
 
 
-def test_seq_len_divisors_are_the_divisors_of_seq_len():
+def test_divisors_equal_trial_division_up_to_3000():
+    for n in range(1, 3001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_divisors_of_seq_len_are_powers_of_two_times_divisors_of_block_size():
     for k in range(1, 41):
         for l in divisors(k):
             p = validate_params(k, l)
-            assert seq_len_divisors(p) == divisors(p.seq_len), (k, l)
+            expected = sorted({2**a * d for a in range(l + 1) for d in divisors(p.block_size)})
+            assert divisors(p.seq_len) == expected, (k, l)
+
+
+def test_divisors_of_large_numbers():
+    # One scan finds the smaller of two primes near 10^6, and leaves the other as a prime cofactor.
+    assert divisors(999983 * 999979) == [1, 999979, 999983, 999983 * 999979]
+    assert divisors(2**64) == [2**a for a in range(65)]
+    assert divisors(10**20) == sorted(2**a * 5**b for a in range(21) for b in range(21))
+    assert (len(divisors(2**64)), len(divisors(10**20))) == (65, 441)
 
 
 def test_distinct_edge_count_at_l_equals_k_is_fast():
@@ -355,6 +368,18 @@ def test_best_l_computes_no_count_when_one_divisor_survives(monkeypatch):
     monkeypatch.setattr(counting, "edge_count", refuse)
     assert divisors(200003) == [1, 200003]
     assert best_l(200003) == 1
+
+
+def test_best_l_of_a_huge_k_with_small_prime_factors_computes_no_count(monkeypatch):
+    # With brackets widened by 1e-9 * hi, about 10^11 bits at k = 10^20, three
+    # divisors survived there and their counts, of about 10^20 bits, were computed.
+    def refuse(params):
+        raise AssertionError(f"computed the count of ({params.k}, {params.l})")
+
+    monkeypatch.setattr(counting, "edge_count", refuse)
+    assert best_l(10**16) == 200000
+    assert best_l(2**64) == 2097152
+    assert best_l(10**20) == 4096000
 
 
 @given(st.integers(1, 40))
